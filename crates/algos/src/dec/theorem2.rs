@@ -18,7 +18,7 @@
 use bshm_core::cost::Cost;
 use bshm_core::instance::Instance;
 use bshm_core::job::JobId;
-use bshm_core::lower_bound::optimal_config_cost;
+use bshm_core::lower_bound::ConfigCost;
 use bshm_core::machine::MachineType;
 use bshm_core::normalize::NormalizedCatalog;
 use bshm_core::sweep::{demand_grid, load_profile};
@@ -129,13 +129,14 @@ pub fn lemma1_max_ratio(instance: &Instance, norm: &NormalizedCatalog) -> f64 {
         .map(|(t, &r)| MachineType::new(t.capacity, r))
         .collect();
     let dg = demand_grid(instance.jobs(), norm.catalog());
+    let mut kernel = ConfigCost::new(&rounded_types);
     let mut worst = 0f64;
     for (s, (_, demands)) in dg.segments().enumerate() {
         let m_rate = series.cost_rate(s);
         if m_rate == 0 {
             continue;
         }
-        let w_star = optimal_config_cost(demands, &rounded_types);
+        let w_star = kernel.cost(demands);
         debug_assert!(w_star > 0);
         worst = worst.max(m_rate as f64 / w_star as f64);
     }

@@ -11,7 +11,7 @@
 
 use bshm_core::cost::Cost;
 use bshm_core::instance::Instance;
-use bshm_core::lower_bound::optimal_config_cost;
+use bshm_core::lower_bound::ConfigCost;
 use bshm_core::machine::MachineType;
 use bshm_core::normalize::NormalizedCatalog;
 use bshm_core::sweep::demand_grid;
@@ -43,13 +43,14 @@ pub fn lemma4_max_ratio(instance: &Instance, norm: &NormalizedCatalog) -> f64 {
         .map(|(&g, &r)| MachineType::new(g, r))
         .collect();
     let dg = demand_grid(instance.jobs(), norm.catalog());
+    let mut kernel = ConfigCost::new(&rounded_types);
     let mut worst = 0f64;
     for (_, demands) in dg.segments() {
         let partition = partition_cost_rate(demands, &caps, &rates);
         if partition == 0 {
             continue;
         }
-        let opt = optimal_config_cost(demands, &rounded_types);
+        let opt = kernel.cost(demands);
         debug_assert!(opt > 0);
         worst = worst.max(partition as f64 / opt as f64);
     }

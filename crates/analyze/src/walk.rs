@@ -7,8 +7,11 @@ use std::path::{Path, PathBuf};
 /// (not first-party code — they mirror external crates' APIs), and VCS.
 const SKIP_DIRS: [&str; 4] = ["target", "shims", ".git", "bench_results"];
 
-/// Recursively collects `.rs` files under `root`, skipping [`SKIP_DIRS`],
-/// sorted by path for stable output.
+/// Recursively collects `.rs` files under `root`, skipping [`SKIP_DIRS`]
+/// and every subdirectory that is a Cargo workspace of its own (its
+/// `Cargo.toml` declares `[workspace]`), sorted by path for stable output.
+/// A nested workspace builds apart from this one, so this workspace's
+/// rules do not govern it.
 #[must_use]
 pub fn rust_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
@@ -22,7 +25,7 @@ pub fn rust_files(root: &Path) -> Vec<PathBuf> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) {
+                if !SKIP_DIRS.contains(&name.as_ref()) && !declares_workspace(&path) {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -32,6 +35,12 @@ pub fn rust_files(root: &Path) -> Vec<PathBuf> {
     }
     out.sort();
     out
+}
+
+/// Does `dir/Cargo.toml` open a `[workspace]` table?
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
 }
 
 /// `path` relative to `root`, with forward slashes.
@@ -75,10 +84,35 @@ mod tests {
         assert!(rels.iter().any(|p| p == "crates/core/src/time.rs"));
         assert!(!rels.iter().any(|p| p.contains("shims")));
         assert!(!rels.iter().any(|p| p.contains("target/")));
+        // The benchmark is a workspace of its own.
+        assert!(!rels.iter().any(|p| p.starts_with("perfbench/")));
         // Deterministic order.
         let mut sorted = rels.clone();
         sorted.sort();
         assert_eq!(rels, sorted);
+    }
+
+    #[test]
+    fn skips_nested_workspaces_but_not_members() {
+        let root = std::env::temp_dir().join(format!("bshm-walk-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
+        write("src/lib.rs", "");
+        write("member/Cargo.toml", "[package]\nname = \"member\"\n");
+        write("member/src/lib.rs", "");
+        write(
+            "apart/Cargo.toml",
+            "[package]\nname = \"apart\"\n\n[workspace]\n",
+        );
+        write("apart/src/main.rs", "");
+        write("apart/deep/src/x.rs", "");
+        let rels: Vec<String> = rust_files(&root).iter().map(|p| rel(&root, p)).collect();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(rels, ["member/src/lib.rs", "src/lib.rs"]);
     }
 
     #[test]

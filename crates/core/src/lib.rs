@@ -47,10 +47,10 @@ pub mod time;
 pub mod validate;
 
 pub use cost::{schedule_cost, Cost};
-pub use incremental_lb::{lower_bound_prefix, IlbError, IncrementalLowerBound};
+pub use incremental_lb::{IlbError, IncrementalLowerBound};
 pub use instance::{Instance, InstanceError};
 pub use job::{Job, JobId};
-pub use lower_bound::{lower_bound, lp_lower_bound};
+pub use lower_bound::{lower_bound, lower_bound_prefix, lp_lower_bound};
 pub use machine::{Catalog, CatalogClass, CatalogError, MachineType, TypeIndex};
 pub use normalize::NormalizedCatalog;
 pub use ops::{

@@ -28,76 +28,223 @@
 //!
 //! is exact because capacity bought at type `k` counts for *every*
 //! constraint `j ≤ k`, so the outstanding requirements collapse to their
-//! maximum. Feasible terminal states have `R = 0`. Per level we keep a
-//! Pareto frontier (smaller `R` and smaller cost both dominate).
+//! maximum. Feasible terminal states have `R = 0`. Densely, `dp[R]` is the
+//! cheapest cost per outstanding requirement: folding is a prefix-min, and
+//! buying type `i` is an unbounded coin of weight `g_i` and cost `r_i`.
+//!
+//! ### Shrinking the table: three exact reductions
+//!
+//! [`ConfigCost`] runs that dense DP on a much smaller table. Write `E_i`
+//! for the suffix maximum `max_{k≥i} D_k` (the requirement constraint `i`
+//! really places on the suffix sum `S_i = Σ_{j≥i} w_j·g_j`).
+//!
+//! 1. **gcd normalisation.** With `G = gcd(g_i)`, every `S_i` is a
+//!    multiple of `G`, so `S_i ≥ E_i` iff `S_i/G ≥ ⌈E_i/G⌉`. The DP runs
+//!    on `⌈E_i/G⌉` and `g_i/G`.
+//! 2. **Forced top purchases.** Only the top type serves the top
+//!    constraint: `w_top ≥ ⌈E_top/g_top⌉`.
+//! 3. **Dominance bound.** Type `j > i` *dominates* `i` when
+//!    `r_j·g_i ≤ r_i·g_j`. Swapping `L_i = g_j/gcd(g_i,g_j)` copies of `i`
+//!    for `g_i/gcd(g_i,g_j)` copies of `j` keeps the bought capacity
+//!    (both are `lcm(g_i,g_j)`), does not raise the cost, and only moves
+//!    capacity up the nest, so every `S_k` stays or grows and the swap
+//!    stays feasible. Each swap strictly raises `Σ_k k·w_k·g_k` at fixed
+//!    total capacity, so repeating it terminates: some optimum has
+//!    `w_i < L_i` for every dominated `i` (with `j` the dominator of
+//!    smallest lcm). If every type in `k..top` is dominated, those types
+//!    supply at most `B_k = Σ_{k≤i<top} (L_i−1)·g_i`, hence
+//!    `w_top ≥ ⌈(E_k − B_k)/g_top⌉`.
+//!
+//! The kernel pre-buys the largest of these top-type bounds `p`, charges
+//! `p·r_top`, lowers every requirement by `p·g_top` (clamped at 0) and runs
+//! the DP on the residue. Some optimum buys at least `p` top machines, so
+//! this is exact. When every non-top type is dominated (every DEC catalog)
+//! the residual table has at most `B_0 + 1` entries whatever the load.
 
+use crate::convert::usize_from_u64;
 use crate::cost::Cost;
 use crate::instance::Instance;
-use crate::machine::MachineType;
+use crate::job::Job;
+use crate::machine::{Catalog, MachineType};
 use crate::sweep::demand_grid;
-use std::collections::{BTreeMap, HashMap};
+use crate::time::TimePoint;
+use std::collections::BTreeMap;
+
+/// Largest residual requirement (in gcd units) the dense table is built
+/// for; beyond it the sparse Pareto DP runs instead.
+const DENSE_LIMIT: usize = 16_000_000;
+
+/// The exact configuration-cost kernel of one machine catalog: the
+/// catalog-derived constants of the reductions in the module docs plus the
+/// DP's scratch table, reused across calls.
+///
+/// ```
+/// use bshm_core::lower_bound::ConfigCost;
+/// use bshm_core::MachineType;
+/// let mut kernel = ConfigCost::new(&[MachineType::new(4, 2), MachineType::new(16, 4)]);
+/// // One big plus one small machine covers 20 units at rate 6.
+/// assert_eq!(kernel.cost(&[20, 0]), 6);
+/// assert_eq!(kernel.cost(&[20, 18]), 8);
+/// ```
+#[derive(Clone, Debug)]
+pub struct ConfigCost {
+    /// The machine types with capacities divided by `unit`.
+    types: Vec<MachineType>,
+    /// `G`, the gcd of all capacities.
+    unit: u64,
+    /// `(k, B_k)` in gcd units for `k = top` (with `B = 0`) and every
+    /// `k < top` below which all types up to the top are dominated.
+    slack: Vec<(usize, u64)>,
+    /// Per-call normalised requirements `⌈E_i/G⌉`.
+    need: Vec<u64>,
+    /// The dense DP table.
+    dp: Vec<Cost>,
+}
+
+impl ConfigCost {
+    /// The kernel for `types` (any order of rates; index order is the
+    /// nesting order of the demand constraints).
+    #[must_use]
+    pub fn new(types: &[MachineType]) -> Self {
+        let unit = types.iter().fold(0, |g, t| gcd(g, t.capacity)).max(1);
+        let types: Vec<MachineType> = types
+            .iter()
+            .map(|t| MachineType::new(t.capacity / unit, t.rate))
+            .collect();
+        let mut slack = Vec::new();
+        if let Some(top) = types.len().checked_sub(1) {
+            slack.push((top, 0));
+            let mut bound = 0u64;
+            for i in (0..top).rev() {
+                let Some(swap) = cheapest_swap(&types, i) else {
+                    break;
+                };
+                bound = bound.saturating_add(swap);
+                slack.push((i, bound));
+            }
+        }
+        ConfigCost {
+            types,
+            unit,
+            slack,
+            need: Vec::new(),
+            dp: Vec::new(),
+        }
+    }
+
+    /// Exact minimum cost rate of a configuration covering the nested
+    /// demands `demands[i] = D_{i+1}`. Returns 0 for all-zero demands.
+    ///
+    /// Panics if `demands.len()` differs from the number of types.
+    pub fn cost(&mut self, demands: &[u64]) -> Cost {
+        let m = self.types.len();
+        assert_eq!(demands.len(), m, "one demand per machine type");
+        self.need.clear();
+        self.need.resize(m, 0);
+        let mut run = 0;
+        for (need, &d) in self.need.iter_mut().zip(demands).rev() {
+            run = run.max(d.div_ceil(self.unit));
+            *need = run;
+        }
+        if run == 0 {
+            return 0;
+        }
+        let top = self.types[m - 1];
+        let prebuy = self
+            .slack
+            .iter()
+            .map(|&(k, bound)| self.need[k].saturating_sub(bound).div_ceil(top.capacity))
+            .max()
+            .unwrap_or(0);
+        let covered = prebuy.saturating_mul(top.capacity);
+        for need in &mut self.need {
+            *need = need.saturating_sub(covered);
+        }
+        let residue = self.need[0];
+        let rest = if residue == 0 {
+            0
+        } else {
+            match usize_from_u64(residue).filter(|&r| r <= DENSE_LIMIT) {
+                Some(r) => self.fold_and_coin(r),
+                None => solve(&self.need, &self.types).0,
+            }
+        };
+        u128::from(prebuy) * u128::from(top.rate) + rest
+    }
+
+    /// The dense DP over outstanding requirements `0..=residue` (see the
+    /// module docs): fold each constraint, then buy its type as an
+    /// unbounded coin in one descending pass.
+    fn fold_and_coin(&mut self, residue: usize) -> Cost {
+        const INF: Cost = Cost::MAX;
+        let n = residue + 1;
+        let dp = &mut self.dp;
+        dp.clear();
+        dp.resize(n, INF);
+        dp[0] = 0;
+        for (t, &need) in self.types.iter().zip(&self.need) {
+            // need ≤ residue, which fits usize.
+            let d = usize::try_from(need).unwrap_or(residue);
+            if d > 0 {
+                let best_low = dp[..=d].iter().copied().min().unwrap_or(INF);
+                dp[..d].fill(INF);
+                dp[d] = best_low;
+            }
+            // A capacity wider than the table saturates: one purchase then
+            // covers any outstanding requirement, which saturating_sub
+            // encodes.
+            let g = usize::try_from(t.capacity).unwrap_or(usize::MAX);
+            let r = u128::from(t.rate);
+            for rem in (1..n).rev() {
+                if dp[rem] == INF {
+                    continue;
+                }
+                let target = rem.saturating_sub(g);
+                let cost = dp[rem] + r;
+                if cost < dp[target] {
+                    dp[target] = cost;
+                }
+            }
+        }
+        dp[0]
+    }
+}
+
+/// `(L_i − 1)·g_i = lcm(g_i, g_j) − g_i` for the dominator `j > i` of type
+/// `i` with the smallest lcm, or `None` when no higher type dominates `i`.
+fn cheapest_swap(types: &[MachineType], i: usize) -> Option<u64> {
+    let low = types[i];
+    types[i + 1..]
+        .iter()
+        .filter(|high| {
+            u128::from(high.rate) * u128::from(low.capacity)
+                <= u128::from(low.rate) * u128::from(high.capacity)
+        })
+        .map(|high| {
+            (high.capacity / gcd(low.capacity, high.capacity))
+                .saturating_mul(low.capacity)
+                .saturating_sub(low.capacity)
+        })
+        .min()
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
 
 /// Exact minimum cost rate of a machine configuration covering nested
 /// demands `demands[i] = D_{i+1}` with the given machine types
 /// (sorted by capacity, rates arbitrary).
 ///
 /// Returns 0 for all-zero demands. Panics if `demands.len() != types.len()`.
-///
-/// Uses a dense `O(m·D_max)` unbounded-coin DP over the outstanding
-/// requirement (see the module docs); falls back to the sparse Pareto DP
-/// when the peak demand is enormous (> 16M units) and the dense table
-/// would not be worth allocating.
+/// A one-shot [`ConfigCost`]; callers solving many demand vectors over
+/// one catalog should keep the kernel instead.
 #[must_use]
 pub fn optimal_config_cost(demands: &[u64], types: &[MachineType]) -> Cost {
-    let d_max = demands.iter().copied().max().unwrap_or(0);
-    if d_max == 0 {
-        return 0;
-    }
-    if d_max <= 16_000_000 {
-        solve_dense(demands, types, d_max)
-    } else {
-        solve(demands, types).0
-    }
-}
-
-/// Dense exact DP: `dp[R]` = min cost with outstanding requirement `R`
-/// after the levels processed so far. Folding constraint `i` merges every
-/// `R < D_i` into `D_i`; buying type-`i` machines is an unbounded coin of
-/// weight `g_i` and cost `r_i`, handled in one descending pass.
-fn solve_dense(demands: &[u64], types: &[MachineType], d_max: u64) -> Cost {
-    let m = types.len();
-    assert_eq!(demands.len(), m, "one demand per machine type");
-    // bshm-allow(no-panic): the dense DP table of d_max entries is allocated next; a demand
-    // beyond usize would OOM there anyway, so trapping here is the honest failure.
-    let n = usize::try_from(d_max).expect("demand fits usize") + 1;
-    const INF: Cost = Cost::MAX;
-    let mut dp = vec![INF; n];
-    dp[0] = 0;
-    for i in 0..m {
-        let d_i = usize::try_from(demands[i]).expect("demand fits usize"); // bshm-allow(no-panic): demands[i] <= d_max, checked above
-                                                                           // Fold constraint i: R ← max(R, D_i).
-        if d_i > 0 {
-            let best_low = dp[..=d_i].iter().copied().min().unwrap_or(INF);
-            dp[..d_i].fill(INF);
-            dp[d_i] = best_low;
-        }
-        // Unbounded purchases of (g_i, r_i), descending pass.
-        // A capacity wider than the DP table saturates: one purchase then
-        // covers any outstanding requirement, which saturating_sub encodes.
-        let g = usize::try_from(types[i].capacity).unwrap_or(usize::MAX);
-        let r = u128::from(types[i].rate);
-        for rem in (1..n).rev() {
-            if dp[rem] == INF {
-                continue;
-            }
-            let target = rem.saturating_sub(g);
-            let cost = dp[rem] + r;
-            if cost < dp[target] {
-                dp[target] = cost;
-            }
-        }
-    }
-    dp[0]
+    ConfigCost::new(types).cost(demands)
 }
 
 /// Exact optimal configuration: `(cost rate, machine counts per type)`.
@@ -227,9 +374,46 @@ pub fn lp_config_cost(demands: &[u64], types: &[MachineType]) -> f64 {
     total
 }
 
+/// The one segment sweep behind every integrated bound: calls
+/// `visit(length, demands)` for each sweepline segment of `jobs` clipped
+/// to the horizon `[0, until)`, in time order. Jobs arriving at or after
+/// `until` are dropped and departures are clamped to `until`.
+fn for_each_segment(
+    jobs: &[Job],
+    catalog: &Catalog,
+    until: TimePoint,
+    mut visit: impl FnMut(u64, &[u64]),
+) {
+    let clipped: Vec<Job> = jobs
+        .iter()
+        .filter(|j| j.arrival < until)
+        .map(|j| Job {
+            departure: j.departure.min(until),
+            ..*j
+        })
+        .collect();
+    let dg = demand_grid(&clipped, catalog);
+    for (iv, row) in dg.segments() {
+        visit(iv.len(), row);
+    }
+}
+
+/// Full-sweep lower bound of `jobs` clipped to the horizon `[0, until)`:
+/// jobs arriving at or after `until` are dropped, departures are clamped
+/// to `until`. With `until` past every departure this is exactly
+/// [`lower_bound`] of the instance.
+#[must_use]
+pub fn lower_bound_prefix(jobs: &[Job], catalog: &Catalog, until: TimePoint) -> Cost {
+    let mut kernel = ConfigCost::new(catalog.types());
+    let mut total: Cost = 0;
+    for_each_segment(jobs, catalog, until, |len, row| {
+        total += kernel.cost(row) * u128::from(len);
+    });
+    total
+}
+
 /// Integrates the exact per-time optimal configuration cost over the whole
-/// instance: the right-hand side of inequality (1). Configurations are
-/// memoized per distinct demand vector across sweepline segments.
+/// instance: the right-hand side of inequality (1).
 ///
 /// ```
 /// use bshm_core::{Catalog, Instance, Job, MachineType, lower_bound};
@@ -243,33 +427,21 @@ pub fn lp_config_cost(demands: &[u64], types: &[MachineType]) -> f64 {
 /// ```
 #[must_use]
 pub fn lower_bound(instance: &Instance) -> Cost {
-    let dg = demand_grid(instance.jobs(), instance.catalog());
-    let types = instance.catalog().types();
-    let mut memo: HashMap<Vec<u64>, Cost> = HashMap::new();
-    let mut total: Cost = 0;
-    for (iv, row) in dg.segments() {
-        let rate = *memo
-            .entry(row.to_vec())
-            .or_insert_with(|| optimal_config_cost(row, types));
-        total += rate * u128::from(iv.len());
-    }
-    total
+    lower_bound_prefix(instance.jobs(), instance.catalog(), TimePoint::MAX)
 }
 
 /// Integrates the LP relaxation instead; a valid (weaker) lower bound that
 /// avoids the integer DP. Returned as `f64` because LP optima are rational.
 #[must_use]
 pub fn lp_lower_bound(instance: &Instance) -> f64 {
-    let dg = demand_grid(instance.jobs(), instance.catalog());
     let types = instance.catalog().types();
-    let mut memo: HashMap<Vec<u64>, f64> = HashMap::new();
     let mut total = 0f64;
-    for (iv, row) in dg.segments() {
-        let rate = *memo
-            .entry(row.to_vec())
-            .or_insert_with(|| lp_config_cost(row, types));
-        total += rate * iv.len() as f64;
-    }
+    for_each_segment(
+        instance.jobs(),
+        instance.catalog(),
+        TimePoint::MAX,
+        |len, row| total += lp_config_cost(row, types) * len as f64,
+    );
     total
 }
 
@@ -337,6 +509,7 @@ mod tests {
         // Or t3+t2: 13. Or t3×1 + t1×4: 14. Best 13.
         let (cost, _) = optimal_config(&[40, 10, 0], &types);
         assert_eq!(cost, 13);
+        assert_eq!(optimal_config_cost(&[40, 10, 0], &types), 13);
     }
 
     #[test]
@@ -389,8 +562,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_pareto_solvers_agree() {
+    fn kernel_and_pareto_solvers_agree() {
         let types = [mt(3, 2), mt(7, 3), mt(20, 9), mt(50, 17)];
+        let mut kernel = ConfigCost::new(&types);
         for seed in 0u64..60 {
             // Deterministic pseudo-random nested demands.
             let x = seed
@@ -401,10 +575,31 @@ mod tests {
             let d2 = d3 + (x >> 16) % 80;
             let d1 = d2 + (x >> 24) % 100;
             let demands = [d1, d2, d3, d4];
-            let dense = solve_dense(&demands, &types, d1.max(1));
             let pareto = solve(&demands, &types).0;
-            assert_eq!(dense, pareto, "demands {demands:?}");
+            assert_eq!(kernel.cost(&demands), pareto, "demands {demands:?}");
         }
+    }
+
+    #[test]
+    fn reductions_come_from_the_catalog() {
+        // gcd 4; every type dominated by the next (amortized 1/4, 1/8, 1/16).
+        let kernel = ConfigCost::new(&[mt(4, 1), mt(16, 2), mt(64, 4)]);
+        assert_eq!(kernel.unit, 4);
+        // Normalised caps 1, 4, 16: swaps cost lcm − g = 3 and 12.
+        assert_eq!(kernel.slack, vec![(2, 0), (1, 12), (0, 15)]);
+        // INC: nothing below the top is dominated.
+        let kernel = ConfigCost::new(&[mt(4, 1), mt(8, 4)]);
+        assert_eq!(kernel.slack, vec![(1, 0)]);
+    }
+
+    #[test]
+    fn dominated_catalogs_keep_a_small_table() {
+        let types = [mt(4, 1), mt(16, 2), mt(64, 4)];
+        let mut kernel = ConfigCost::new(&types);
+        // Normalised [1005, 400, 90]: 62 top machines are forced, 13 units remain.
+        let demands = [4_020, 1_600, 360];
+        assert_eq!(kernel.cost(&demands), solve(&demands, &types).0);
+        assert_eq!(kernel.dp.len(), 14);
     }
 
     #[test]

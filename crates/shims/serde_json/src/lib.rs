@@ -312,12 +312,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Neither byte occurs inside a multibyte UTF-8 sequence,
+                    // so the run is a complete UTF-8 slice.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -411,5 +417,24 @@ mod tests {
         let s = "quote\" slash\\ nl\n tab\t unicode\u{1}".to_string();
         let enc = to_string(&s).unwrap();
         assert_eq!(from_str::<String>(&enc).unwrap(), s);
+    }
+
+    #[test]
+    fn long_mixed_strings_round_trip() {
+        let unit = "größe \"λ\" → 日本\\ tab\t nl\n 🚀 ctl\u{1} ";
+        let s = unit.repeat(5_000);
+        let enc = to_string(&s).unwrap();
+        assert_eq!(from_str::<String>(&enc).unwrap(), s);
+        let pair = vec![s.clone(), "plain".to_string()];
+        let enc = to_string_pretty(&pair).unwrap();
+        assert_eq!(from_str::<Vec<String>>(&enc).unwrap(), pair);
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        assert!(from_str::<String>("\"abc").is_err());
+        assert!(from_str::<String>("\"größe 日本").is_err());
+        assert!(from_str::<String>("\"ends in escape\\").is_err());
+        assert!(from_str::<String>("\"").is_err());
     }
 }
