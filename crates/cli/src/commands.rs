@@ -1308,7 +1308,7 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
     let decisions: Vec<(u64, OpCounter)> = events
         .iter()
         .filter_map(|e| match e {
-            bshm_obs::TraceEvent::Decision { pool_size, ops, .. } => Some((*pool_size, *ops)),
+            bshm_obs::TraceEvent::Decision { pool_size, ops, .. } => Some((*pool_size, **ops)),
             _ => None,
         })
         .collect();
@@ -1556,7 +1556,24 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
             _ => None,
         })
         .sum();
-    let n_types = replay::infer_n_types(&events);
+    // An instance fixes the timeline's width to its catalog, including
+    // top types the trace never opened.
+    let instance = match flags.get("instance") {
+        Some(_) => Some(load_instance(flags)?),
+        None => None,
+    };
+    let traced_types = replay::infer_n_types(&events);
+    let n_types = match &instance {
+        Some(instance) if traced_types > instance.catalog().len() => {
+            return Err(format!(
+                "trace references machine type {} but the instance catalog has {} type(s)",
+                traced_types - 1,
+                instance.catalog().len()
+            ))
+        }
+        Some(instance) => instance.catalog().len(),
+        None => traced_types,
+    };
     let _ = writeln!(out, "trace:        {path}");
     let _ = writeln!(out, "events:       {}", events.len());
     for (kind, count) in &kinds {
@@ -1588,14 +1605,13 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
         let _ = writeln!(out, "{line}");
     }
 
-    match (flags.get("instance"), flags.get("schedule")) {
-        (Some(_), Some(spath)) => {
-            let instance = load_instance(flags)?;
+    match (&instance, flags.get("schedule")) {
+        (Some(instance), Some(spath)) => {
             let data =
                 std::fs::read_to_string(spath).map_err(|e| format!("reading {spath}: {e}"))?;
             let schedule: Schedule =
                 serde_json::from_str(&data).map_err(|e| format!("parsing {spath}: {e}"))?;
-            let reference = machine_timeline(&schedule, &instance);
+            let reference = machine_timeline(&schedule, instance);
             replay::cross_check(&timeline, &reference)
                 .map_err(|e| format!("trace disagrees with schedule timeline: {e}"))?;
             let _ = writeln!(

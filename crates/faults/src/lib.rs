@@ -16,6 +16,8 @@
 //!   [`bshm_sim::run_online_probed`]: byte-identical traces under the
 //!   empty plan, explicit [`FaultReport`] ledgers under faults (no job is
 //!   ever lost silently, and only overloading a *live* machine errors).
+//!   [`PreparedRun`] splits the per-instance setup from the event loop for
+//!   callers that drive one instance many times.
 //! * [`checkpoint`] — restorable snapshots by deterministic replay: the
 //!   decision log plus input fingerprints, written torn-free; restoring
 //!   verifies every replayed decision and emits exactly the missing trace
@@ -46,6 +48,7 @@ pub use recovery::{
     POLICY_NAMES,
 };
 pub use runner::{
-    run_online_faulted, run_online_faulted_with, FaultError, FaultOutcome, FaultReport, RunOptions,
+    run_online_faulted, run_online_faulted_with, FaultError, FaultOutcome, FaultReport,
+    PreparedRun, RunOptions,
 };
 pub use script::ScriptScheduler;

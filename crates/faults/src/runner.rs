@@ -19,9 +19,10 @@
 use crate::checkpoint::{
     instance_digest, Checkpoint, DecisionRecord, CHECKPOINT_VERSION, DROPPED_MACHINE,
 };
-use crate::plan::FaultPlan;
+use crate::plan::{FaultPlan, ResolvedFaults};
 use crate::recovery::{DisplacedJob, RecoveryPolicy};
 use bshm_core::convert::{count_u64, index_u32};
+use bshm_core::machine::Catalog;
 use bshm_core::{Instance, Job, JobId, MachineId, Schedule, TimePoint};
 use bshm_obs::{span, Probe, TraceEvent};
 use bshm_sim::{ArrivalView, MachinePool, OnlineScheduler, SimError};
@@ -382,7 +383,8 @@ impl Engine<'_, '_> {
     }
 }
 
-/// The faulted driver with full checkpoint/restore control.
+/// The faulted driver with full checkpoint/restore control: prepares a
+/// [`PreparedRun`] and drives it once.
 ///
 /// See the module docs for the event model and [`RunOptions`] for the
 /// checkpoint and simulated-kill knobs.
@@ -394,201 +396,270 @@ pub fn run_online_faulted_with(
     probe: &mut dyn Probe,
     opts: &RunOptions<'_>,
 ) -> Result<FaultOutcome, FaultError> {
-    let resolved = plan.resolve(instance);
-    let mut all_jobs: Vec<Job> = instance.jobs().to_vec();
-    all_jobs.extend(resolved.injected.iter().copied());
-
-    // (t, class, key, payload): payload indexes all_jobs for classes 0/2
-    // and resolved.crashes for class 1.
-    let mut events: Vec<(TimePoint, u8, u32, usize)> =
-        Vec::with_capacity(all_jobs.len() * 2 + resolved.crashes.len());
-    for (idx, j) in all_jobs.iter().enumerate() {
-        events.push((j.arrival, CLASS_ARRIVAL, j.id.0, idx));
-        events.push((j.departure, CLASS_DEPARTURE, j.id.0, idx));
-    }
-    for (idx, c) in resolved.crashes.iter().enumerate() {
-        events.push((c.t, CLASS_CRASH, index_u32(idx), idx));
-    }
-    events.sort_unstable_by_key(|&(t, class, key, _)| (t, class, key));
-
+    // Only checkpoints carry the instance digest; a plain run skips it.
     let checkpointing =
         opts.resume_from.is_some() || opts.stop_after.is_some() || opts.checkpoint_every.is_some();
-    let digest = if checkpointing {
-        instance_digest(instance).map_err(FaultError::Checkpoint)?
-    } else {
-        0
-    };
-    if let Some(cp) = opts.resume_from {
-        verify_fingerprints(cp, digest, scheduler.name(), recovery.name(), plan.spec())?;
+    PreparedRun::build(instance, plan, checkpointing)?.run(scheduler, recovery, probe, opts)
+}
+
+/// The instance-dependent setup of a faulted run, done once and driven
+/// any number of times: the resolved faults, the sorted driver-event
+/// order, the job-size map and the instance digest.
+///
+/// A caller that runs the same instance and plan repeatedly (a resident
+/// tenant stepping through checkpointed batches) keeps one of these
+/// instead of paying the resolve, sort and digest on every run.
+#[derive(Debug)]
+pub struct PreparedRun {
+    catalog: Catalog,
+    plan_spec: String,
+    /// The instance's jobs followed by the plan's injected jobs.
+    jobs: Vec<Job>,
+    resolved: ResolvedFaults,
+    /// `(t, class, key, payload)` in driver order: payload indexes `jobs`
+    /// for classes 0/2 and `resolved.crashes` for class 1.
+    order: Vec<(TimePoint, u8, u32, usize)>,
+    size_of: HashMap<JobId, u64>,
+    /// FNV digest of the instance; 0 when prepared for a run that neither
+    /// checkpoints nor resumes.
+    digest: u64,
+}
+
+impl PreparedRun {
+    /// Prepares `instance` under `plan`, digest included.
+    ///
+    /// # Errors
+    /// A [`FaultError::Checkpoint`] when the instance cannot be encoded
+    /// for its digest.
+    pub fn new(instance: &Instance, plan: &FaultPlan) -> Result<PreparedRun, FaultError> {
+        Self::build(instance, plan, true)
     }
 
-    let mut engine = Engine {
-        pool: MachinePool::new(instance.catalog().clone()),
-        probe: GatedProbe {
-            inner: probe,
-            skip: opts.resume_from.map_or(0, |cp| cp.trace_events_emitted),
-            emitted: 0,
-        },
-        probing: false,
-        open_since: Vec::new(),
-        recovery_owned: HashSet::new(),
-        foreign: HashSet::new(),
-        gone: HashSet::new(),
-        report: FaultReport {
-            injected: count_u64(resolved.injected.len()),
-            first_injected_id: resolved.injected.first().map(|j| j.id),
-            ..FaultReport::default()
-        },
-        decisions: Vec::new(),
-        expected: opts.resume_from.map_or(&[][..], |cp| &cp.decisions),
-    };
-    engine.probing = engine.probe.enabled();
-    let size_of: HashMap<JobId, u64> = all_jobs.iter().map(|j| (j.id, j.size)).collect();
+    fn build(instance: &Instance, plan: &FaultPlan, digest: bool) -> Result<Self, FaultError> {
+        let resolved = plan.resolve(instance);
+        let mut jobs: Vec<Job> = instance.jobs().to_vec();
+        jobs.extend(resolved.injected.iter().copied());
+        let mut order = Vec::with_capacity(jobs.len() * 2 + resolved.crashes.len());
+        for (idx, j) in jobs.iter().enumerate() {
+            order.push((j.arrival, CLASS_ARRIVAL, j.id.0, idx));
+            order.push((j.departure, CLASS_DEPARTURE, j.id.0, idx));
+        }
+        for (idx, c) in resolved.crashes.iter().enumerate() {
+            order.push((c.t, CLASS_CRASH, index_u32(idx), idx));
+        }
+        order.sort_unstable_by_key(|&(t, class, key, _)| (t, class, key));
+        let digest = if digest {
+            instance_digest(instance).map_err(FaultError::Checkpoint)?
+        } else {
+            0
+        };
+        Ok(PreparedRun {
+            catalog: instance.catalog().clone(),
+            plan_spec: plan.spec().to_string(),
+            size_of: jobs.iter().map(|j| (j.id, j.size)).collect(),
+            jobs,
+            resolved,
+            order,
+            digest,
+        })
+    }
 
-    let mut events_processed: u64 = 0;
-    let mut last_checkpoint: Option<Checkpoint> = None;
+    /// Drives one run of the prepared instance: the event loop of
+    /// [`run_online_faulted_with`].
+    ///
+    /// # Errors
+    /// As [`run_online_faulted_with`].
+    pub fn run(
+        &self,
+        scheduler: &mut dyn OnlineScheduler,
+        recovery: &mut dyn RecoveryPolicy,
+        probe: &mut dyn Probe,
+        opts: &RunOptions<'_>,
+    ) -> Result<FaultOutcome, FaultError> {
+        if let Some(cp) = opts.resume_from {
+            verify_fingerprints(
+                cp,
+                self.digest,
+                scheduler.name(),
+                recovery.name(),
+                &self.plan_spec,
+            )?;
+        }
 
-    for &(t, class, _key, payload) in &events {
-        match class {
-            CLASS_ARRIVAL => {
-                let job = all_jobs[payload];
-                if engine.probing {
-                    engine.probe.on_arrival(t, job.id, job.size);
-                }
-                if job.size > engine.pool.catalog().max_capacity() {
-                    // Oversized injection: infeasible by construction,
-                    // dropped before the scheduler ever sees it.
-                    let reason = format!(
-                        "oversized: size {} exceeds max machine capacity {}",
-                        job.size,
-                        engine.pool.catalog().max_capacity()
-                    );
-                    engine.drop_job(t, job.id, reason)?;
-                } else {
-                    let view = ArrivalView {
-                        id: job.id,
-                        size: job.size,
-                        time: t,
-                    };
-                    let known_machines = engine.pool.len();
+        let mut engine = Engine {
+            pool: MachinePool::new(self.catalog.clone()),
+            probe: GatedProbe {
+                inner: probe,
+                skip: opts.resume_from.map_or(0, |cp| cp.trace_events_emitted),
+                emitted: 0,
+            },
+            probing: false,
+            open_since: Vec::new(),
+            recovery_owned: HashSet::new(),
+            foreign: HashSet::new(),
+            gone: HashSet::new(),
+            report: FaultReport {
+                injected: count_u64(self.resolved.injected.len()),
+                first_injected_id: self.resolved.injected.first().map(|j| j.id),
+                ..FaultReport::default()
+            },
+            decisions: Vec::new(),
+            expected: opts.resume_from.map_or(&[][..], |cp| &cp.decisions),
+        };
+        engine.probing = engine.probe.enabled();
+
+        let mut events_processed: u64 = 0;
+        let mut last_checkpoint: Option<Checkpoint> = None;
+
+        for &(t, class, _key, payload) in &self.order {
+            match class {
+                CLASS_ARRIVAL => {
+                    let job = self.jobs[payload];
                     if engine.probing {
-                        let start = span::now();
-                        let m = scheduler.on_arrival(view, &mut engine.pool);
-                        let decision_ns = elapsed_ns(start);
-                        span::record("sim::on_arrival", decision_ns);
-                        engine.place_arrival(t, &job, m, decision_ns, known_machines, recovery)?;
+                        engine.probe.on_arrival(t, job.id, job.size);
+                    }
+                    if job.size > engine.pool.catalog().max_capacity() {
+                        // Oversized injection: infeasible by construction,
+                        // dropped before the scheduler ever sees it.
+                        let reason = format!(
+                            "oversized: size {} exceeds max machine capacity {}",
+                            job.size,
+                            engine.pool.catalog().max_capacity()
+                        );
+                        engine.drop_job(t, job.id, reason)?;
                     } else {
-                        let timing = span::enabled();
-                        let start = timing.then(span::now);
-                        let m = scheduler.on_arrival(view, &mut engine.pool);
-                        if let Some(start) = start {
-                            span::record("sim::on_arrival", elapsed_ns(start));
-                        }
-                        engine.place_arrival(t, &job, m, 0, known_machines, recovery)?;
-                    }
-                }
-            }
-            CLASS_DEPARTURE => {
-                let job = all_jobs[payload];
-                if !engine.gone.contains(&job.id) {
-                    let m = engine.pool.remove(job.id, job.size);
-                    if engine.probing {
-                        engine.probe.on_departure(t, job.id, m);
-                    }
-                    if engine.pool.is_idle(m) {
-                        engine.close_busy_span(t, m);
-                    }
-                    if !engine.foreign.contains(&job.id) {
-                        scheduler.on_departure(job.id, m, &engine.pool);
-                    }
-                }
-            }
-            _ => {
-                let crash = resolved.crashes[payload];
-                let m = crash.machine;
-                let exists = usize::try_from(m.0).is_ok_and(|i| i < engine.pool.len());
-                if exists && !engine.pool.is_retired(m) {
-                    let ty = engine.pool.machine_type(m);
-                    let was_busy = !engine.pool.is_idle(m);
-                    let displaced = engine.pool.crash(m);
-                    if was_busy {
-                        engine.close_busy_span(t, m);
-                    }
-                    if engine.probing {
-                        engine
-                            .probe
-                            .on_machine_crash(t, m, ty, count_u64(displaced.len()));
-                    }
-                    engine.report.crashes += 1;
-                    engine.report.displaced += count_u64(displaced.len());
-                    scheduler.on_machine_crash(m, &engine.pool);
-                    for jid in displaced {
-                        let size = size_of.get(&jid).copied().unwrap_or(0);
-                        let dj = DisplacedJob {
-                            id: jid,
-                            size,
-                            from: m,
-                            from_type: ty,
-                            t,
+                        let view = ArrivalView {
+                            id: job.id,
+                            size: job.size,
+                            time: t,
                         };
-                        engine.recover_job(t, dj, false, 0, engine.pool.len(), recovery)?;
+                        let known_machines = engine.pool.len();
+                        if engine.probing {
+                            let start = span::now();
+                            let m = scheduler.on_arrival(view, &mut engine.pool);
+                            let decision_ns = elapsed_ns(start);
+                            span::record("sim::on_arrival", decision_ns);
+                            engine.place_arrival(
+                                t,
+                                &job,
+                                m,
+                                decision_ns,
+                                known_machines,
+                                recovery,
+                            )?;
+                        } else {
+                            let timing = span::enabled();
+                            let start = timing.then(span::now);
+                            let m = scheduler.on_arrival(view, &mut engine.pool);
+                            if let Some(start) = start {
+                                span::record("sim::on_arrival", elapsed_ns(start));
+                            }
+                            engine.place_arrival(t, &job, m, 0, known_machines, recovery)?;
+                        }
                     }
-                } else {
-                    engine.report.crashes_skipped += 1;
+                }
+                CLASS_DEPARTURE => {
+                    let job = self.jobs[payload];
+                    if !engine.gone.contains(&job.id) {
+                        let m = engine.pool.remove(job.id, job.size);
+                        if engine.probing {
+                            engine.probe.on_departure(t, job.id, m);
+                        }
+                        if engine.pool.is_idle(m) {
+                            engine.close_busy_span(t, m);
+                        }
+                        if !engine.foreign.contains(&job.id) {
+                            scheduler.on_departure(job.id, m, &engine.pool);
+                        }
+                    }
+                }
+                _ => {
+                    let crash = self.resolved.crashes[payload];
+                    let m = crash.machine;
+                    let exists = usize::try_from(m.0).is_ok_and(|i| i < engine.pool.len());
+                    if exists && !engine.pool.is_retired(m) {
+                        let ty = engine.pool.machine_type(m);
+                        let was_busy = !engine.pool.is_idle(m);
+                        let displaced = engine.pool.crash(m);
+                        if was_busy {
+                            engine.close_busy_span(t, m);
+                        }
+                        if engine.probing {
+                            engine
+                                .probe
+                                .on_machine_crash(t, m, ty, count_u64(displaced.len()));
+                        }
+                        engine.report.crashes += 1;
+                        engine.report.displaced += count_u64(displaced.len());
+                        scheduler.on_machine_crash(m, &engine.pool);
+                        for jid in displaced {
+                            let size = self.size_of.get(&jid).copied().unwrap_or(0);
+                            let dj = DisplacedJob {
+                                id: jid,
+                                size,
+                                from: m,
+                                from_type: ty,
+                                t,
+                            };
+                            engine.recover_job(t, dj, false, 0, engine.pool.len(), recovery)?;
+                        }
+                    } else {
+                        engine.report.crashes_skipped += 1;
+                    }
                 }
             }
-        }
-        events_processed += 1;
+            events_processed += 1;
 
-        let stop_here = opts.stop_after == Some(events_processed);
-        let periodic = opts
-            .checkpoint_every
-            .is_some_and(|every| every > 0 && events_processed.is_multiple_of(every));
-        if stop_here || periodic {
-            let cp = Checkpoint {
-                version: CHECKPOINT_VERSION,
-                algorithm: scheduler.name().to_string(),
-                policy: recovery.name().to_string(),
-                plan_spec: plan.spec().to_string(),
-                instance_digest: digest,
-                events_processed,
-                trace_events_emitted: engine.probe.emitted,
-                decisions: engine.decisions.clone(),
-            };
-            if let Some(path) = &opts.checkpoint_path {
-                cp.save(path).map_err(FaultError::Checkpoint)?;
+            let stop_here = opts.stop_after == Some(events_processed);
+            let periodic = opts
+                .checkpoint_every
+                .is_some_and(|every| every > 0 && events_processed.is_multiple_of(every));
+            if stop_here || periodic {
+                let cp = Checkpoint {
+                    version: CHECKPOINT_VERSION,
+                    algorithm: scheduler.name().to_string(),
+                    policy: recovery.name().to_string(),
+                    plan_spec: self.plan_spec.clone(),
+                    instance_digest: self.digest,
+                    events_processed,
+                    trace_events_emitted: engine.probe.emitted,
+                    decisions: engine.decisions.clone(),
+                };
+                if let Some(path) = &opts.checkpoint_path {
+                    cp.save(path).map_err(FaultError::Checkpoint)?;
+                }
+                last_checkpoint = Some(cp);
             }
-            last_checkpoint = Some(cp);
+            if stop_here {
+                // Simulated kill: no probe.finish(), partial schedule.
+                return Ok(FaultOutcome {
+                    schedule: engine.pool.into_schedule(),
+                    report: engine.report,
+                    completed: false,
+                    events_processed,
+                    checkpoint: last_checkpoint,
+                });
+            }
         }
-        if stop_here {
-            // Simulated kill: no probe.finish(), partial schedule.
-            return Ok(FaultOutcome {
-                schedule: engine.pool.into_schedule(),
-                report: engine.report,
-                completed: false,
-                events_processed,
-                checkpoint: last_checkpoint,
-            });
-        }
-    }
 
-    if engine.expected.len() > engine.decisions.len() {
-        return Err(FaultError::Checkpoint(format!(
-            "replay ended after {} decisions but the checkpoint recorded {}",
-            engine.decisions.len(),
-            engine.expected.len()
-        )));
+        if engine.expected.len() > engine.decisions.len() {
+            return Err(FaultError::Checkpoint(format!(
+                "replay ended after {} decisions but the checkpoint recorded {}",
+                engine.decisions.len(),
+                engine.expected.len()
+            )));
+        }
+        if engine.probing {
+            engine.probe.finish();
+        }
+        Ok(FaultOutcome {
+            schedule: engine.pool.into_schedule(),
+            report: engine.report,
+            completed: true,
+            events_processed,
+            checkpoint: last_checkpoint,
+        })
     }
-    if engine.probing {
-        engine.probe.finish();
-    }
-    Ok(FaultOutcome {
-        schedule: engine.pool.into_schedule(),
-        report: engine.report,
-        completed: true,
-        events_processed,
-        checkpoint: last_checkpoint,
-    })
 }
 
 fn verify_fingerprints(

@@ -269,8 +269,10 @@ pub enum TraceEvent {
         pool_size: u64,
         /// Candidates rejected with a machine identity, in scan order.
         candidates: Vec<RejectedCandidate>,
-        /// Exact operation counts for this decision.
-        ops: OpCounter,
+        /// Exact operation counts for this decision (boxed: the counter
+        /// is the largest payload of any variant, and every event pays
+        /// for the largest one).
+        ops: Box<OpCounter>,
     },
     /// A live optimality-gap gauge sample: the incrementally maintained
     /// busy-time lower bound and the cost accrued so far, both at time
@@ -508,7 +510,7 @@ mod tests {
                         reason: RejectReason::Busy,
                     },
                 ],
-                ops: OpCounter {
+                ops: Box::new(OpCounter {
                     decisions: 1,
                     machines_scanned: 2,
                     capacity_comparisons: 2,
@@ -516,7 +518,7 @@ mod tests {
                     rejected_busy: 1,
                     machines_opened: 1,
                     ..OpCounter::default()
-                },
+                }),
             },
         ];
         for e in events {
@@ -524,6 +526,17 @@ mod tests {
             let back: TraceEvent = serde_json::from_str(&line).unwrap();
             assert_eq!(back, e, "{line}");
         }
+    }
+
+    #[test]
+    fn trace_event_stays_small() {
+        // Services keep whole event histories in memory; every event pays
+        // for the largest variant.
+        assert!(
+            std::mem::size_of::<TraceEvent>() <= 64,
+            "TraceEvent is {} bytes",
+            std::mem::size_of::<TraceEvent>()
+        );
     }
 
     #[test]
@@ -582,7 +595,7 @@ mod tests {
             placed: PlaceReason::Reused,
             pool_size: 1,
             candidates: Vec::new(),
-            ops: OpCounter::default(),
+            ops: Box::default(),
         };
         assert_eq!(x.time(), 7);
         assert_eq!(x.kind(), "Decision");

@@ -126,11 +126,16 @@ pub fn compute_gap_timeline(events: &[TraceEvent], catalog: &Catalog) -> GapTime
     probe.into_timeline()
 }
 
-/// A probe adapter that forwards every event to `inner` and appends one
-/// `GapSample` per distinct timestamp (see the module docs).
+/// The gap observatory's fold state: the incremental lower bound, the
+/// settled and open busy-span costs, the active jobs, and the timestamp
+/// whose sample is still held back.
+///
+/// [`GapProbe`] wraps one of these together with its inner probe and its
+/// [`GapTimeline`]. Callers that only need the current gauge (a resident
+/// service tenant) hold the bare gauge, whose memory does not grow with
+/// the number of samples.
 #[derive(Debug)]
-pub struct GapProbe<P> {
-    inner: P,
+pub struct GapGauge {
     ilb: IncrementalLowerBound,
     catalog: Catalog,
     /// Settled cost from `CostAccrual` events.
@@ -141,43 +146,57 @@ pub struct GapProbe<P> {
     active: HashMap<JobId, u64>,
     /// The timestamp whose sample is still held back.
     pending_t: Option<TimePoint>,
-    timeline: GapTimeline,
     error: Option<String>,
 }
 
-impl<P: Probe> GapProbe<P> {
-    /// Wraps `inner`, gauging against `catalog`.
+impl GapGauge {
+    /// An empty gauge against `catalog`.
     #[must_use]
-    pub fn new(catalog: &Catalog, inner: P) -> Self {
-        GapProbe {
-            inner,
+    pub fn new(catalog: &Catalog) -> Self {
+        GapGauge {
             ilb: IncrementalLowerBound::new(catalog),
             catalog: catalog.clone(),
             closed_cost: 0,
             open_spans: BTreeMap::new(),
             active: HashMap::new(),
             pending_t: None,
-            timeline: GapTimeline::default(),
             error: None,
         }
     }
 
-    /// The gap timeline sampled so far.
-    #[must_use]
-    pub fn timeline(&self) -> &GapTimeline {
-        &self.timeline
+    /// Folds one event. Returns the sample of the previous timestamp when
+    /// this event is the first of a later one. Recorded `GapSample` and
+    /// `Alert` events are ignored: folding them would duplicate gauges
+    /// when replaying a gap-aware (or health-aware) trace.
+    pub fn observe(&mut self, event: &TraceEvent) -> Option<GapPoint> {
+        if matches!(
+            event,
+            TraceEvent::GapSample { .. } | TraceEvent::Alert { .. }
+        ) {
+            return None;
+        }
+        let t = event.time();
+        let closed = self
+            .pending_t
+            .filter(|&pt| t > pt)
+            .map(|pt| self.point_at(pt));
+        self.fold(event);
+        self.pending_t = Some(t);
+        closed
     }
 
-    /// Consumes the probe, returning its timeline.
-    #[must_use]
-    pub fn into_timeline(self) -> GapTimeline {
-        self.timeline
+    /// Closes the held-back timestamp (end of stream) and returns its
+    /// sample.
+    pub fn flush(&mut self) -> Option<GapPoint> {
+        let pt = self.pending_t.take()?;
+        Some(self.point_at(pt))
     }
 
-    /// Consumes the probe, returning the wrapped probe and the timeline.
+    /// The sample [`GapGauge::flush`] would return now, without closing
+    /// it: the final point of the timeline folded so far.
     #[must_use]
-    pub fn into_parts(self) -> (P, GapTimeline) {
-        (self.inner, self.timeline)
+    pub fn settled_point(&self) -> Option<GapPoint> {
+        self.pending_t.map(|pt| self.point_at(pt))
     }
 
     /// The exact (`u128`) lower bound accumulated so far.
@@ -198,8 +217,8 @@ impl<P: Probe> GapProbe<P> {
     }
 
     /// The first inconsistency hit while folding events (`None` when the
-    /// stream was well-formed). The probe keeps running past errors; the
-    /// gauges are best-effort from that point on.
+    /// stream was well-formed). The gauge keeps running past errors; it is
+    /// best-effort from that point on.
     #[must_use]
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()
@@ -211,14 +230,12 @@ impl<P: Probe> GapProbe<P> {
         }
     }
 
-    fn emit_sample(&mut self, t: TimePoint) {
-        let point = GapPoint {
+    fn point_at(&self, t: TimePoint) -> GapPoint {
+        GapPoint {
             t,
             lower_bound: sat_u64(self.ilb.accumulated()),
             cost: sat_u64(self.accrued_cost(t)),
-        };
-        self.timeline.points.push(point);
-        self.inner.on_gap_sample(t, point.lower_bound, point.cost);
+        }
     }
 
     fn rate_of(&self, machine_type: bshm_core::machine::TypeIndex) -> u64 {
@@ -296,36 +313,89 @@ impl<P: Probe> GapProbe<P> {
     }
 }
 
+/// A probe adapter that forwards every event to `inner` and appends one
+/// `GapSample` per distinct timestamp (see the module docs).
+#[derive(Debug)]
+pub struct GapProbe<P> {
+    inner: P,
+    gauge: GapGauge,
+    timeline: GapTimeline,
+}
+
+impl<P: Probe> GapProbe<P> {
+    /// Wraps `inner`, gauging against `catalog`.
+    #[must_use]
+    pub fn new(catalog: &Catalog, inner: P) -> Self {
+        GapProbe {
+            inner,
+            gauge: GapGauge::new(catalog),
+            timeline: GapTimeline::default(),
+        }
+    }
+
+    /// The gap timeline sampled so far.
+    #[must_use]
+    pub fn timeline(&self) -> &GapTimeline {
+        &self.timeline
+    }
+
+    /// Consumes the probe, returning its timeline.
+    #[must_use]
+    pub fn into_timeline(self) -> GapTimeline {
+        self.timeline
+    }
+
+    /// Consumes the probe, returning the wrapped probe and the timeline.
+    #[must_use]
+    pub fn into_parts(self) -> (P, GapTimeline) {
+        (self.inner, self.timeline)
+    }
+
+    /// The exact (`u128`) lower bound accumulated so far.
+    #[must_use]
+    pub fn lower_bound(&self) -> Cost {
+        self.gauge.lower_bound()
+    }
+
+    /// The exact (`u128`) cost accrued up to time `t`.
+    #[must_use]
+    pub fn accrued_cost(&self, t: TimePoint) -> Cost {
+        self.gauge.accrued_cost(t)
+    }
+
+    /// The first inconsistency hit while folding events (`None` when the
+    /// stream was well-formed). The probe keeps running past errors; the
+    /// gauges are best-effort from that point on.
+    #[must_use]
+    pub fn error(&self) -> Option<&str> {
+        self.gauge.error()
+    }
+
+    fn emit_sample(&mut self, point: GapPoint) {
+        self.timeline.points.push(point);
+        self.inner
+            .on_gap_sample(point.t, point.lower_bound, point.cost);
+    }
+}
+
 impl<P: Probe> Probe for GapProbe<P> {
     fn enabled(&self) -> bool {
         true
     }
 
     fn record(&mut self, event: &TraceEvent) {
-        // Recorded samples and alerts pass through untouched: re-emitting
-        // or folding them would duplicate gauges when replaying a
-        // gap-aware (or health-aware) trace.
-        if matches!(
-            event,
-            TraceEvent::GapSample { .. } | TraceEvent::Alert { .. }
-        ) {
-            self.inner.record(event);
-            return;
-        }
-        let t = event.time();
-        if let Some(pt) = self.pending_t {
-            if t > pt {
-                self.emit_sample(pt);
-            }
+        // The sample closed by this event goes out first, so the stream
+        // stays time-sorted. Recorded samples and alerts pass through
+        // untouched (the gauge ignores them).
+        if let Some(point) = self.gauge.observe(event) {
+            self.emit_sample(point);
         }
         self.inner.record(event);
-        self.fold(event);
-        self.pending_t = Some(t);
     }
 
     fn finish(&mut self) {
-        if let Some(pt) = self.pending_t.take() {
-            self.emit_sample(pt);
+        if let Some(point) = self.gauge.flush() {
+            self.emit_sample(point);
         }
         self.inner.finish();
     }
@@ -424,6 +494,26 @@ mod tests {
         let (gap_collector, _) = probe2.into_parts();
         let recomputed = compute_gap_timeline(&gap_collector.events, inst.catalog());
         assert_eq!(recomputed.points, live.points);
+    }
+
+    #[test]
+    fn gauge_settled_point_is_the_final_sample_of_every_prefix() {
+        let (inst, s) = setup();
+        let mut plain = Collector::default();
+        synthesize(&s, &inst, &mut plain);
+        let mut gauge = GapGauge::new(inst.catalog());
+        assert_eq!(gauge.settled_point(), None);
+        for (i, e) in plain.events.iter().enumerate() {
+            gauge.observe(e);
+            let prefix = compute_gap_timeline(&plain.events[..=i], inst.catalog());
+            assert_eq!(gauge.settled_point().as_ref(), prefix.final_point());
+        }
+        let last = gauge.flush();
+        assert_eq!(gauge.settled_point(), None);
+        assert_eq!(
+            last.as_ref(),
+            compute_gap_timeline(&plain.events, inst.catalog()).final_point()
+        );
     }
 
     #[test]

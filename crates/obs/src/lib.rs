@@ -35,7 +35,8 @@
 //!   accrued cost while events stream past, and emits one
 //!   `TraceEvent::GapSample` per distinct timestamp;
 //!   [`compute_gap_timeline`] rebuilds the same timeline from pre-gap
-//!   traces.
+//!   traces. [`GapGauge`] is the probe's fold state on its own, for
+//!   callers that need the current gauge but not the timeline.
 //! * [`attribution`] is the deterministic cost-attribution ledger:
 //!   [`CostLedger`] charges every unit of busy-time cost to responsible
 //!   jobs (opener pays for the opening segment, extensions split
@@ -88,7 +89,9 @@ pub mod window;
 pub use attribution::CostLedger;
 pub use event::{AlertReason, TenantPhase, TraceEvent};
 pub use flight::FlightRecorder;
-pub use gap::{compute_gap_timeline, gap_timeline_from_events, GapPoint, GapProbe, GapTimeline};
+pub use gap::{
+    compute_gap_timeline, gap_timeline_from_events, GapGauge, GapPoint, GapProbe, GapTimeline,
+};
 pub use probe::{Collector, Deterministic, NoProbe, Probe};
 pub use prometheus::{encode as encode_prometheus, validate_exposition};
 pub use recorder::{bucket_quantile, merge_counts, merge_gauge_timelines, Metrics, Recorder};

@@ -764,14 +764,14 @@ mod tests {
                 machine: MachineId(0),
                 reason: RejectReason::Capacity,
             }],
-            ops: OpCounter {
+            ops: Box::new(OpCounter {
                 decisions: 1,
                 machines_scanned: 2,
                 capacity_comparisons: 2,
                 rejected_capacity: 1,
                 machines_reused: 1,
                 ..OpCounter::default()
-            },
+            }),
         });
         let m = rec.into_metrics().unwrap();
         assert_eq!(m.ops_sum, 4);

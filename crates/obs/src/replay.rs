@@ -384,7 +384,7 @@ fn synthesize_inner<P: Probe + ?Sized>(
                     placed: tr.placed.map_or(fallback, |(_, how)| how),
                     pool_size,
                     candidates: tr.candidates,
-                    ops: tr.counter,
+                    ops: Box::new(tr.counter),
                 });
             }
             if !ever_placed[mi] {

@@ -7,7 +7,8 @@
 //! * [`TraceWriter`] streams to `<path>.partial` and renames to the final
 //!   path only on [`TraceWriter::finalize`], so the final path either holds
 //!   a complete trace or nothing at all. A process killed mid-run leaves
-//!   the `.partial` file behind for salvage.
+//!   the `.partial` file behind for salvage. [`TraceWriter::extend`]
+//!   appends to a published trace under the same contract.
 //! * [`salvage_jsonl`] recovers the valid prefix of a truncated JSONL
 //!   trace (the crash-tolerant counterpart of [`crate::replay::parse_jsonl`],
 //!   which stays strict).
@@ -61,6 +62,39 @@ impl TraceWriter {
         // No suppression needed: this module IS the sanctioned writer the
         // no-raw-trace-write lint points everyone else at.
         let file = File::create(&partial).map_err(|e| format!("{}: {e}", partial.display()))?;
+        Ok(TraceWriter {
+            final_path,
+            partial,
+            writer: Some(BufWriter::new(file)),
+            flush_each: false,
+        })
+    }
+
+    /// Reopens a published trace for appending: copies `<path>` to
+    /// `<path>.partial` and appends there, so [`TraceWriter::finalize`]
+    /// publishes the old bytes plus the new lines in one rename and
+    /// readers of `<path>` never see a torn file. A missing `<path>`
+    /// behaves like [`TraceWriter::create`].
+    ///
+    /// # Errors
+    /// Propagates filesystem errors with the offending path.
+    pub fn extend(path: impl Into<PathBuf>) -> Result<TraceWriter, String> {
+        let final_path = path.into();
+        if !final_path.exists() {
+            return TraceWriter::create(final_path);
+        }
+        let partial = partial_path(&final_path);
+        std::fs::copy(&final_path, &partial).map_err(|e| {
+            format!(
+                "copying {} -> {}: {e}",
+                final_path.display(),
+                partial.display()
+            )
+        })?;
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&partial)
+            .map_err(|e| format!("{}: {e}", partial.display()))?;
         Ok(TraceWriter {
             final_path,
             partial,
@@ -298,6 +332,63 @@ mod tests {
         assert_eq!(s.events.len(), 3);
         assert_eq!(s.dropped_lines, 0);
         assert_eq!(s.dropped_bytes, 0);
+    }
+
+    #[test]
+    fn extend_of_missing_file_behaves_like_create() {
+        let path = tmp("extend-missing.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(partial_path(&path));
+        let mut w = TraceWriter::extend(&path).unwrap();
+        w.write_all(jsonl(&sample_events()).as_bytes()).unwrap();
+        assert!(!path.exists(), "final path must not exist before finalize");
+        w.finalize().unwrap();
+        assert!(!partial_path(&path).exists());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            jsonl(&sample_events())
+        );
+    }
+
+    #[test]
+    fn extend_appends_after_the_published_bytes() {
+        let path = tmp("extend-append.jsonl");
+        let events = sample_events();
+        let mut w = TraceWriter::create(&path).unwrap();
+        w.write_all(jsonl(&events[..1]).as_bytes()).unwrap();
+        w.finalize().unwrap();
+        let mut w = TraceWriter::extend(&path).unwrap();
+        w.write_all(jsonl(&events[1..]).as_bytes()).unwrap();
+        // Until finalize, readers still see only the published prefix.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl(&events[..1]));
+        w.finalize().unwrap();
+        assert!(!partial_path(&path).exists());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl(&events));
+    }
+
+    #[test]
+    fn abandoned_extend_leaves_the_published_file_untouched() {
+        let path = tmp("extend-abandon.jsonl");
+        let events = sample_events();
+        let mut w = TraceWriter::create(&path).unwrap();
+        w.write_all(jsonl(&events[..2]).as_bytes()).unwrap();
+        w.finalize().unwrap();
+        let mut w = TraceWriter::extend(&path).unwrap().flush_each(true);
+        let torn = jsonl(&events[2..]);
+        w.write_all(&torn.as_bytes()[..torn.len() - 5]).unwrap();
+        w.flush().unwrap();
+        w.abandon();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl(&events[..2]));
+        // The abandoned `.partial` holds the published prefix plus a torn
+        // line, which salvage recovers up to.
+        let text = std::fs::read_to_string(partial_path(&path)).unwrap();
+        let s = salvage_jsonl_str(&text);
+        assert_eq!(s.events, events[..2].to_vec());
+        assert_eq!(s.dropped_lines, 1);
+        std::fs::remove_file(&path).unwrap();
+        let s = salvage_jsonl(&path).unwrap();
+        assert_eq!(s.events, events[..2].to_vec());
+        let _ = std::fs::remove_file(partial_path(&path));
     }
 
     #[test]

@@ -354,6 +354,18 @@ pub struct HealthReport {
     pub snapshot_errors: Vec<String>,
 }
 
+impl AlertRecord {
+    fn new(t: TimePoint, fire: &AlertFire) -> Self {
+        AlertRecord {
+            t,
+            reason: fire.reason,
+            window: fire.window,
+            value_milli: fire.value_milli,
+            threshold_milli: fire.threshold_milli,
+        }
+    }
+}
+
 impl HealthReport {
     /// Alerts fired for `reason`.
     #[must_use]
@@ -472,6 +484,33 @@ impl<P: Probe> HealthProbe<P> {
         &self.flight
     }
 
+    /// The spec under evaluation.
+    #[must_use]
+    pub fn spec(&self) -> &SloSpec {
+        self.engine.spec()
+    }
+
+    /// The report [`HealthProbe::into_parts`] would return now, without
+    /// consuming the probe: the in-progress window is evaluated on copies
+    /// of itself and of the engine, so the live fold carries on
+    /// unchanged. Flight-recorder snapshots for alerts on that window are
+    /// not written.
+    #[must_use]
+    pub fn settled_report(&self) -> HealthReport {
+        let mut report = self.report.clone();
+        if self.finished {
+            return report;
+        }
+        if let Some(last) = self.windows.peek_flush() {
+            report.windows_closed += 1;
+            let mut engine = self.engine.clone();
+            for fire in engine.evaluate(&last) {
+                report.alerts.push(AlertRecord::new(last.end, &fire));
+            }
+        }
+        report
+    }
+
     /// Unwraps into the inner probe and the final report. Flushes the
     /// in-progress window first if `finish` has not run yet.
     #[must_use]
@@ -499,13 +538,7 @@ impl<P: Probe> HealthProbe<P> {
         };
         self.windows.note_alert();
         self.flight.push(&alert);
-        self.report.alerts.push(AlertRecord {
-            t,
-            reason: fire.reason,
-            window: fire.window,
-            value_milli: fire.value_milli,
-            threshold_milli: fire.threshold_milli,
-        });
+        self.report.alerts.push(AlertRecord::new(t, &fire));
         if let Some(dir) = &self.snapshot_dir {
             let name = format!(
                 "alert-{:03}-{}.jsonl",
@@ -554,7 +587,7 @@ pub fn write_health_report(path: &Path, report: &HealthReport) -> Result<(), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::Collector;
+    use crate::probe::{Collector, NoProbe};
     use bshm_core::job::JobId;
     use bshm_core::machine::TypeIndex;
     use bshm_core::schedule::MachineId;
@@ -666,6 +699,39 @@ mod tests {
         let a = &report.alerts[0];
         assert_eq!(a.window, 2);
         assert!(a.value_milli > a.threshold_milli);
+    }
+
+    #[test]
+    fn settled_report_matches_into_parts_without_consuming() {
+        let spec = SloSpec::parse("window:10;gap:1500:2;storm:1").unwrap();
+        let events = [
+            gap_sample(1, 10, 20),
+            gap_sample(11, 10, 20),
+            TraceEvent::MachineCrash {
+                t: 14,
+                machine: MachineId(0),
+                machine_type: TypeIndex(0),
+                displaced: 1,
+            },
+            gap_sample(21, 10, 10),
+            gap_sample(31, 10, 20),
+        ];
+        let mut live = HealthProbe::new(spec.clone(), 1, NoProbe);
+        for (i, e) in events.iter().enumerate() {
+            live.record(e);
+            let mut fresh = HealthProbe::new(spec.clone(), 1, NoProbe);
+            for e in &events[..=i] {
+                fresh.record(e);
+            }
+            let (_, want) = fresh.into_parts();
+            // The storm on window 1 only fires once that window is settled.
+            assert_eq!(
+                format!("{:?}", live.settled_report()),
+                format!("{want:?}"),
+                "after event {i}"
+            );
+        }
+        assert_eq!(live.report().windows_closed, 3);
     }
 
     #[test]

@@ -255,9 +255,18 @@ impl RollingWindows {
     /// Closes and returns the in-progress window (end of stream). Further
     /// events start a fresh window.
     pub fn flush(&mut self) -> Option<WindowStats> {
-        let mut done = self.current.take()?;
-        done.open_now = self.busy_now.clone();
+        let done = self.peek_flush()?;
+        self.current = None;
         self.remember(done.clone());
+        Some(done)
+    }
+
+    /// The window [`RollingWindows::flush`] would close now, without
+    /// closing it.
+    #[must_use]
+    pub fn peek_flush(&self) -> Option<WindowStats> {
+        let mut done = self.current.clone()?;
+        done.open_now = self.busy_now.clone();
         Some(done)
     }
 

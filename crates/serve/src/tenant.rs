@@ -6,8 +6,10 @@
 //!
 //! * `<name>.checkpoint.json` — the PR5 decision-log checkpoint taken at
 //!   every batch stop point (atomic temp + rename), and
-//! * `<name>.events.jsonl` — the tenant's event log, rewritten
-//!   (atomically) after every batch.
+//! * `<name>.events.jsonl` — the tenant's event log, extended after
+//!   every batch: the published log is copied to `.partial`, the batch is
+//!   appended, and the result renamed over the log, so readers never see
+//!   a torn file.
 //!
 //! A kill mid-batch leaves a torn `.partial` log and the last good
 //! checkpoint; restore salvages the log, replays the instance
@@ -15,17 +17,23 @@
 //! artifact digest-for-digest, and returns a [`RestoreProof`]. Memory is
 //! deliberately NOT trusted across a kill: restore rebuilds everything
 //! from the two disk artifacts, exactly as a restarted process would.
+//!
+//! A step costs the new batch plus two terms that grow with the history:
+//! the driver re-runs from event 0 to verify every decision against the
+//! checkpoint, and the checkpoint (the whole decision log) is saved. The
+//! instance setup is prepared once, the log grows by appending, and the
+//! SLO report and gap gauge are live folds fed one batch at a time.
 
 use crate::queue::BoundedQueue;
 use bshm_core::instance::Instance;
 use bshm_faults::checkpoint::fnv1a64;
 use bshm_faults::{
-    run_online_faulted_with, tear_final_line, Checkpoint, FaultError, FaultPlan, RunOptions,
+    tear_final_line, Backoff, Checkpoint, FaultError, FaultOutcome, FaultPlan, PreparedRun,
+    RunOptions,
 };
-use bshm_obs::gap::compute_gap_timeline;
 use bshm_obs::sink::{salvage_jsonl, TraceWriter};
 use bshm_obs::slo::{HealthProbe, HealthReport, SloSpec};
-use bshm_obs::{AlertReason, Collector, Deterministic, NoProbe, Probe, TraceEvent};
+use bshm_obs::{AlertReason, Collector, Deterministic, GapGauge, NoProbe, Probe, TraceEvent};
 use bshm_sim::OnlineScheduler;
 use bshm_workload::catalogs::{dec_geometric, inc_geometric, sawtooth};
 use bshm_workload::{ArrivalProcess, DurationLaw, SizeLaw, WorkloadSpec};
@@ -215,6 +223,14 @@ impl RestoreProof {
     }
 }
 
+/// A fold over the tenant's event history that remembers how many events
+/// it has absorbed, so each step feeds it only the new ones.
+#[derive(Debug)]
+struct Live<F> {
+    fold: F,
+    absorbed: usize,
+}
+
 /// One supervised tenant.
 #[derive(Debug)]
 pub struct Tenant {
@@ -224,6 +240,16 @@ pub struct Tenant {
     algorithm: String,
     /// Event history up to `processed` (checkpoint-consistent).
     events: Vec<TraceEvent>,
+    /// Leading events of `events` already in the published log; the next
+    /// write appends the rest (0 rewrites the log from scratch).
+    logged: usize,
+    /// The run setup every batch shares, built on the first run so
+    /// admission stays cheap.
+    prepared: Option<PreparedRun>,
+    /// The live SLO fold.
+    health: Option<Live<HealthProbe<NoProbe>>>,
+    /// The live gap gauge (dropped while gap gauges are off).
+    gap: Option<Live<GapGauge>>,
     processed: u64,
     checkpoint: Option<Checkpoint>,
     checkpoint_path: PathBuf,
@@ -255,6 +281,10 @@ impl Tenant {
             instance,
             plan,
             events: Vec::new(),
+            logged: 0,
+            prepared: None,
+            health: None,
+            gap: None,
             processed: 0,
             checkpoint: None,
             queue,
@@ -375,7 +405,7 @@ impl Tenant {
             return Ok(());
         }
         self.algorithm = algorithm.to_string();
-        self.events.clear();
+        self.reset_history(Vec::new());
         self.processed = 0;
         self.checkpoint = None;
         self.done = false;
@@ -386,10 +416,11 @@ impl Tenant {
     }
 
     /// Runs one supervised batch of up to `batch_events` driver events,
-    /// checkpoints at the stop point, rewrites the durable log, and
-    /// evaluates the SLO over the full event history. A killed tenant is
-    /// restarted (restored) first — that IS the supervision contract. A
-    /// panicking scheduler is caught and the tenant marked killed.
+    /// checkpoints at the stop point, appends the batch to the durable
+    /// log, and feeds it to the live SLO fold (and, when `gap_enabled`,
+    /// the gap gauge). A killed tenant is restarted (restored) first —
+    /// that IS the supervision contract. A panicking scheduler is caught
+    /// and the tenant marked killed.
     pub fn step(
         &mut self,
         factory: &mut SchedulerFactory,
@@ -420,26 +451,11 @@ impl Tenant {
         }
         let target = self.processed + batch_events.max(1);
         let mut scheduler = (factory)(&self.algorithm, &self.instance)?;
-        let mut policy = bshm_faults::policy_by_name("backoff")?;
-        let mut probe = Deterministic(Collector::default());
-        let opts = RunOptions {
-            stop_after: Some(target),
-            checkpoint_every: None,
-            checkpoint_path: None,
-            resume_from: self.checkpoint.as_ref(),
-        };
         let run = catch_unwind(AssertUnwindSafe(|| {
-            run_online_faulted_with(
-                &self.instance,
-                scheduler.as_mut(),
-                &self.plan,
-                policy.as_mut(),
-                &mut probe,
-                &opts,
-            )
+            self.run_to(scheduler.as_mut(), target, true)
         }));
-        let outcome = match run {
-            Ok(Ok(outcome)) => outcome,
+        let (outcome, mut batch) = match run {
+            Ok(Ok(ran)) => ran,
             Ok(Err(FaultError::Sim(e))) => return Err(format!("driver: {e}")),
             Ok(Err(FaultError::Checkpoint(msg))) => return Err(format!("checkpoint: {msg}")),
             Err(_) => {
@@ -448,12 +464,12 @@ impl Tenant {
                 // consistent; drop in-memory state and let the next step
                 // restore from disk.
                 self.alive = false;
-                self.events.clear();
+                self.reset_history(Vec::new());
                 self.checkpoint = None;
                 return Ok(StepOutcome::Panicked);
             }
         };
-        self.events.append(&mut probe.0.events);
+        self.events.append(&mut batch);
         self.processed = outcome.events_processed;
         self.done = outcome.completed;
         if let Some(cp) = outcome.checkpoint {
@@ -463,13 +479,14 @@ impl Tenant {
         self.write_log()?;
         // SLO evaluation over the whole history on the event clock:
         // deterministic, and window state carries across batches because
-        // it is recomputed from event 0 each time.
-        let report = self.evaluate_slo(slo);
+        // the fold does.
+        let report = self.live_report(slo);
         self.last_alerts = bshm_core::convert::count_u64(report.alerts.len());
         self.last_reason = dominant_reason(&report);
         self.gap_ratio = if gap_enabled {
-            compute_gap_timeline(&self.events, self.instance.catalog()).final_ratio()
+            self.live_gap_ratio()
         } else {
+            self.gap = None;
             None
         };
         Ok(StepOutcome::Advanced {
@@ -490,26 +507,12 @@ impl Tenant {
         }
         let target = self.processed + extra.max(1);
         let mut scheduler = (factory)(&self.algorithm, &self.instance)?;
-        let mut policy = bshm_faults::policy_by_name("backoff")?;
-        let mut probe = Deterministic(Collector::default());
-        let opts = RunOptions {
-            stop_after: Some(target),
-            checkpoint_every: None,
-            checkpoint_path: None,
-            resume_from: self.checkpoint.as_ref(),
-        };
-        let outcome = run_online_faulted_with(
-            &self.instance,
-            scheduler.as_mut(),
-            &self.plan,
-            policy.as_mut(),
-            &mut probe,
-            &opts,
-        )
-        .map_err(|e| format!("kill batch: {e}"))?;
-        let _ = outcome; // the kill discards the would-be checkpoint
+        // The kill discards the would-be checkpoint.
+        let (_, batch) = self
+            .run_to(scheduler.as_mut(), target, true)
+            .map_err(|e| format!("kill batch: {e}"))?;
         let mut text = String::new();
-        for e in self.events.iter().chain(probe.0.events.iter()) {
+        for e in self.events.iter().chain(batch.iter()) {
             let line = serde_json::to_string(e).map_err(|e| format!("encoding torn log: {e}"))?;
             text.push_str(&line);
             text.push('\n');
@@ -519,7 +522,7 @@ impl Tenant {
         std::fs::write(bshm_obs::sink::partial_path(&self.log_path), torn)
             .map_err(|e| format!("writing torn log: {e}"))?;
         self.alive = false;
-        self.events.clear();
+        self.reset_history(Vec::new());
         self.checkpoint = None;
         Ok(())
     }
@@ -551,24 +554,11 @@ impl Tenant {
             (Vec::new(), None)
         } else {
             let mut scheduler = (factory)(&self.algorithm, &self.instance)?;
-            let mut policy = bshm_faults::policy_by_name("backoff")?;
-            let mut probe = Deterministic(Collector::default());
-            let opts = RunOptions {
-                stop_after: Some(target),
-                checkpoint_every: None,
-                checkpoint_path: None,
-                resume_from: None, // free replay: verification is explicit below
-            };
-            let outcome = run_online_faulted_with(
-                &self.instance,
-                scheduler.as_mut(),
-                &self.plan,
-                policy.as_mut(),
-                &mut probe,
-                &opts,
-            )
-            .map_err(|e| format!("restore replay: {e}"))?;
-            (probe.0.events, outcome.checkpoint)
+            // Free replay: verification is explicit below.
+            let (outcome, events) = self
+                .run_to(scheduler.as_mut(), target, false)
+                .map_err(|e| format!("restore replay: {e}"))?;
+            (events, outcome.checkpoint)
         };
         let checkpoint_match = match (&stored, &new_cp) {
             (None, None) => true,
@@ -610,7 +600,7 @@ impl Tenant {
             discarded_future,
         };
         // Adopt the replayed state and republish a clean log.
-        self.events = replayed;
+        self.reset_history(replayed);
         self.processed = target;
         self.checkpoint = stored;
         self.done = false;
@@ -651,7 +641,7 @@ impl Tenant {
     }
 
     /// Evaluates `slo` over the tenant's full event history (on the
-    /// event clock; no wall time involved).
+    /// event clock; no wall time involved), folding it from event 0.
     #[must_use]
     pub fn evaluate_slo(&self, slo: &SloSpec) -> HealthReport {
         let mut hp = HealthProbe::new(slo.clone(), self.instance.catalog().len(), NoProbe);
@@ -662,13 +652,100 @@ impl Tenant {
         report
     }
 
-    fn write_log(&self) -> Result<(), String> {
-        let mut w = TraceWriter::create(&self.log_path)?.flush_each(false);
-        for e in &self.events {
+    /// The live SLO fold's report as of the last step: equal to
+    /// [`Tenant::evaluate_slo`] under that step's spec, without the
+    /// rescan. `None` before the first step and after a reset (kill,
+    /// panic, restore, algorithm rebase) until the next step.
+    #[must_use]
+    pub fn live_health(&self) -> Option<HealthReport> {
+        self.health.as_ref().map(|live| live.fold.settled_report())
+    }
+
+    /// Drives the instance from event 0 up to `target` driver events
+    /// under `scheduler` and the backoff recovery policy. With `resume`
+    /// the run verifies every decision against the current checkpoint and
+    /// returns only the trace events past it; without, it replays freely
+    /// and returns them all.
+    fn run_to(
+        &mut self,
+        scheduler: &mut dyn OnlineScheduler,
+        target: u64,
+        resume: bool,
+    ) -> Result<(FaultOutcome, Vec<TraceEvent>), FaultError> {
+        let prepared = match self.prepared.take() {
+            Some(prepared) => prepared,
+            None => PreparedRun::new(&self.instance, &self.plan)?,
+        };
+        let mut probe = Deterministic(Collector::default());
+        let opts = RunOptions {
+            stop_after: Some(target),
+            checkpoint_every: None,
+            checkpoint_path: None,
+            resume_from: self.checkpoint.as_ref().filter(|_| resume),
+        };
+        let outcome = prepared.run(scheduler, &mut Backoff::default(), &mut probe, &opts);
+        self.prepared = Some(prepared);
+        outcome.map(|outcome| (outcome, probe.0.events))
+    }
+
+    /// Replaces the in-memory history, forgetting everything derived
+    /// from the old one: the live folds and the logged prefix.
+    fn reset_history(&mut self, events: Vec<TraceEvent>) {
+        self.events = events;
+        self.logged = 0;
+        self.health = None;
+        self.gap = None;
+    }
+
+    /// Brings the live SLO fold up to date and returns its settled
+    /// report. A fold under a different spec is rebuilt from event 0.
+    fn live_report(&mut self, slo: &SloSpec) -> HealthReport {
+        let mut live = match self.health.take() {
+            Some(live) if live.fold.spec() == slo => live,
+            _ => Live {
+                fold: HealthProbe::new(slo.clone(), self.instance.catalog().len(), NoProbe),
+                absorbed: 0,
+            },
+        };
+        for e in &self.events[live.absorbed..] {
+            live.fold.record(e);
+        }
+        live.absorbed = self.events.len();
+        let report = live.fold.settled_report();
+        self.health = Some(live);
+        report
+    }
+
+    /// Brings the live gap gauge up to date and returns the ratio at its
+    /// settled sample: bit-equal to the final ratio of
+    /// `compute_gap_timeline` over the history.
+    fn live_gap_ratio(&mut self) -> Option<f64> {
+        let live = self.gap.get_or_insert_with(|| Live {
+            fold: GapGauge::new(self.instance.catalog()),
+            absorbed: 0,
+        });
+        for e in &self.events[live.absorbed..] {
+            live.fold.observe(e);
+        }
+        live.absorbed = self.events.len();
+        live.fold.settled_point().and_then(|p| p.ratio())
+    }
+
+    /// Publishes the history: appends the events past the logged prefix
+    /// to the durable log, or rewrites it when nothing is logged yet.
+    fn write_log(&mut self) -> Result<(), String> {
+        let mut w = if self.logged == 0 {
+            TraceWriter::create(&self.log_path)?
+        } else {
+            TraceWriter::extend(&self.log_path)?
+        };
+        for e in &self.events[self.logged..] {
             let line = serde_json::to_string(e).map_err(|e| format!("encoding log: {e}"))?;
             writeln!(w, "{line}").map_err(|e| format!("writing log: {e}"))?;
         }
-        w.finalize()
+        w.finalize()?;
+        self.logged = self.events.len();
+        Ok(())
     }
 }
 
@@ -840,6 +917,7 @@ mod tests {
         let o = t.step(&mut f, 10, &slo, false).unwrap();
         assert_eq!(o, StepOutcome::Panicked);
         assert!(!t.alive());
+        assert!(t.live_health().is_none(), "a panic resets the live folds");
         // Supervision: the next step restores from disk and advances.
         let o = t.step(&mut f, 10, &slo, false).unwrap();
         match o {
@@ -847,6 +925,17 @@ mod tests {
             o => panic!("unexpected {o:?}"),
         }
         assert_eq!(t.restarts(), 1);
+        // The folds and the log were rebuilt from the restored history.
+        assert_eq!(
+            format!("{:?}", t.live_health().unwrap()),
+            format!("{:?}", t.evaluate_slo(&slo))
+        );
+        let encoded: String = t
+            .events()
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .collect();
+        assert_eq!(std::fs::read_to_string(t.log_path()).unwrap(), encoded);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

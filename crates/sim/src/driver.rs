@@ -391,7 +391,7 @@ pub fn run_online_xray<S: OnlineScheduler, P: Probe + ?Sized>(
                 placed,
                 pool_size: count_u64(known_machines),
                 candidates: tr.candidates,
-                ops: tr.counter,
+                ops: Box::new(tr.counter),
             });
         } else {
             let m = pool.remove(job.id, job.size);
