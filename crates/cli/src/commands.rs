@@ -1131,11 +1131,8 @@ fn xray_events(
     let mut collector = bshm_obs::Collector::default();
     run_alg_xray(&alg, &instance, &mut collector)?;
     if let Some(p) = flags.get("trace") {
-        let mut buf = String::new();
-        for e in &collector.events {
-            buf.push_str(&serde_json::to_string(e).expect("trace events serialize"));
-            buf.push('\n');
-        }
+        let buf = bshm_obs::jsonl_string(&collector.events)
+            .map_err(|e| format!("encoding trace: {e}"))?;
         std::fs::write(p, buf).map_err(|e| format!("writing {p}: {e}"))?;
         let _ = writeln!(out, "wrote {} trace events to {p}", collector.events.len());
     }

@@ -13,7 +13,7 @@ use crate::recovery::RecoveryPolicy;
 use crate::runner::{run_online_faulted_with, FaultError, FaultReport, RunOptions};
 use bshm_core::Instance;
 use bshm_obs::sink::{salvage_jsonl, salvage_jsonl_str, Salvage};
-use bshm_obs::{Collector, Deterministic, TraceEvent};
+use bshm_obs::{jsonl_string, Collector, Deterministic};
 use bshm_sim::OnlineScheduler;
 use std::path::Path;
 
@@ -87,17 +87,6 @@ impl CrashTestReport {
     }
 }
 
-fn to_jsonl(events: &[TraceEvent]) -> Result<String, FaultError> {
-    let mut out = String::new();
-    for e in events {
-        let line = serde_json::to_string(e)
-            .map_err(|err| FaultError::Checkpoint(format!("trace encode: {err}")))?;
-        out.push_str(&line);
-        out.push('\n');
-    }
-    Ok(out)
-}
-
 /// Runs the kill-at-checkpoint/salvage/restore/verify cycle.
 ///
 /// `stop_after` is clamped into `1..events_total`. When `artifact_dir` is
@@ -150,7 +139,8 @@ pub fn crash_test(
     })?;
 
     // 3. Tear the trace the way a kill mid-write would, then salvage.
-    let full = to_jsonl(&cut_events)?;
+    let full = jsonl_string(&cut_events)
+        .map_err(|err| FaultError::Checkpoint(format!("trace encode: {err}")))?;
     let torn = tear_final_line(&full);
     let salvage: Salvage = if let Some(dir) = artifact_dir {
         // The partial twin is what a never-finalized TraceWriter leaves.
@@ -243,6 +233,7 @@ mod tests {
     #[test]
     fn torn_real_trace_reports_the_exact_byte_loss() {
         use bshm_core::{JobId, MachineId, TypeIndex};
+        use bshm_obs::TraceEvent;
         let events = vec![
             TraceEvent::Arrival {
                 t: 1,
@@ -260,12 +251,12 @@ mod tests {
                 machine: MachineId(0),
             },
         ];
-        let full = to_jsonl(&events).unwrap();
+        let full = jsonl_string(&events).unwrap();
         let torn = tear_final_line(&full);
         let s = salvage_jsonl_str(&torn);
         assert_eq!(s.events.len(), 2);
         assert_eq!(s.dropped_lines, 1);
-        let intact = to_jsonl(&events[..2]).unwrap().len();
+        let intact = jsonl_string(&events[..2]).unwrap().len();
         assert_eq!(s.dropped_bytes, (torn.len() - intact) as u64);
         assert!(s.dropped_bytes > 0);
     }

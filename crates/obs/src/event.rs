@@ -406,6 +406,37 @@ impl TraceEvent {
     }
 }
 
+/// Writes `events` to `w` as JSONL: one compact JSON object per event,
+/// each followed by a newline. This is the one trace encoder; the
+/// recorder, the flight recorder, serve logs, crash tests and the CLI all
+/// write through it, so every trace file has the same bytes.
+///
+/// # Errors
+/// Propagates the writer's I/O errors. Encoding itself does not fail:
+/// events hold only integers, strings and enums, never a float.
+pub fn write_jsonl<'a, W: std::io::Write + ?Sized>(
+    w: &mut W,
+    events: impl IntoIterator<Item = &'a TraceEvent>,
+) -> std::io::Result<()> {
+    for e in events {
+        serde_json::to_writer(&mut *w, e).map_err(std::io::Error::other)?;
+        w.write_all(b"\n")?;
+    }
+    Ok(())
+}
+
+/// [`write_jsonl`] into a `String`.
+///
+/// # Errors
+/// As [`write_jsonl`]; writing to memory adds none.
+pub fn jsonl_string<'a>(
+    events: impl IntoIterator<Item = &'a TraceEvent>,
+) -> std::io::Result<String> {
+    let mut out = Vec::new();
+    write_jsonl(&mut out, events)?;
+    String::from_utf8(out).map_err(std::io::Error::other)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

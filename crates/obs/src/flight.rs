@@ -86,16 +86,11 @@ impl FlightRecorder {
 
     /// The ring serialized as JSONL (one event per line, oldest first) —
     /// the same shape as a trace file, so every replay tool reads it.
-    #[must_use]
-    pub fn snapshot_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.ring {
-            if let Ok(line) = serde_json::to_string(e) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
+    ///
+    /// # Errors
+    /// As [`crate::jsonl_string`].
+    pub fn snapshot_jsonl(&self) -> Result<String, String> {
+        crate::jsonl_string(&self.ring).map_err(|e| format!("encoding flight snapshot: {e}"))
     }
 
     /// Dumps the ring to `path` as a JSONL snapshot, atomically (temp
@@ -105,7 +100,7 @@ impl FlightRecorder {
     /// # Errors
     /// Propagates filesystem errors from the atomic write.
     pub fn dump(&self, path: &Path) -> Result<(), String> {
-        crate::sink::atomic_write(path, &self.snapshot_jsonl())
+        crate::sink::atomic_write(path, &self.snapshot_jsonl()?)
     }
 }
 
@@ -148,7 +143,7 @@ mod tests {
         for t in 0..4 {
             fr.push(&arrival(t));
         }
-        let text = fr.snapshot_jsonl();
+        let text = fr.snapshot_jsonl().unwrap();
         let back = crate::replay::parse_jsonl(&text).unwrap();
         assert_eq!(back.len(), 4);
         assert_eq!(back[0], arrival(0));

@@ -8,7 +8,7 @@
 //! * [`TraceEvent`] is the shared vocabulary — arrivals, placement
 //!   decisions, machine opens/closes, departures, and cost accruals, each
 //!   stamped with its simulation time. One JSON object per line makes a
-//!   run's trace (`*.jsonl`).
+//!   run's trace (`*.jsonl`); [`write_jsonl`] is the one encoder for it.
 //! * [`Probe`] is the hook trait the simulator driver and the offline
 //!   solvers report into. [`NoProbe`] is the default; its
 //!   [`Probe::enabled`] returns `false` and monomorphizes every
@@ -87,7 +87,7 @@ pub mod span;
 pub mod window;
 
 pub use attribution::CostLedger;
-pub use event::{AlertReason, TenantPhase, TraceEvent};
+pub use event::{jsonl_string, write_jsonl, AlertReason, TenantPhase, TraceEvent};
 pub use flight::FlightRecorder;
 pub use gap::{
     compute_gap_timeline, gap_timeline_from_events, GapGauge, GapPoint, GapProbe, GapTimeline,

@@ -1,6 +1,6 @@
 //! The [`Recorder`] probe: JSONL event log plus aggregated [`Metrics`].
 
-use crate::event::{AlertReason, TraceEvent};
+use crate::event::{write_jsonl, AlertReason, TraceEvent};
 use crate::probe::Probe;
 use bshm_core::ops::OpCounter;
 use bshm_core::time::TimePoint;
@@ -554,6 +554,8 @@ impl Sink {
 /// into [`Metrics`] as they pass.
 pub struct Recorder {
     sink: Option<Sink>,
+    /// The JSONL line being written, reused across events.
+    line: Vec<u8>,
     metrics: Metrics,
     busy_now: Vec<u32>,
     events_written: u64,
@@ -566,6 +568,7 @@ impl Recorder {
     pub fn new(algorithm: impl Into<String>, n_types: usize) -> Self {
         Recorder {
             sink: None,
+            line: Vec::new(),
             metrics: Metrics::new(algorithm, n_types),
             busy_now: vec![0; n_types],
             events_written: 0,
@@ -637,20 +640,17 @@ impl std::fmt::Debug for Recorder {
 impl Probe for Recorder {
     fn record(&mut self, event: &TraceEvent) {
         if let Some(sink) = self.sink.as_mut() {
-            // Serialization failure is reported through the same channel as
-            // IO failure instead of panicking mid-run.
-            match serde_json::to_string(event) {
-                Ok(line) => {
-                    if let Err(e) = writeln!(sink.writer(), "{line}") {
-                        self.io_error
-                            .get_or_insert_with(|| format!("writing trace: {e}"));
-                    } else {
-                        self.events_written += 1;
-                    }
-                }
+            // One reused buffer and one write per line: a flush-per-line
+            // sink never sees half an event. Failures are reported through
+            // `into_metrics` instead of panicking mid-run.
+            self.line.clear();
+            let written = write_jsonl(&mut self.line, [event])
+                .and_then(|()| sink.writer().write_all(&self.line));
+            match written {
+                Ok(()) => self.events_written += 1,
                 Err(e) => {
                     self.io_error
-                        .get_or_insert_with(|| format!("serializing trace event: {e}"));
+                        .get_or_insert_with(|| format!("writing trace: {e}"));
                 }
             }
         }

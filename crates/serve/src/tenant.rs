@@ -33,12 +33,14 @@ use bshm_faults::{
 };
 use bshm_obs::sink::{salvage_jsonl, TraceWriter};
 use bshm_obs::slo::{HealthProbe, HealthReport, SloSpec};
-use bshm_obs::{AlertReason, Collector, Deterministic, GapGauge, NoProbe, Probe, TraceEvent};
+use bshm_obs::{
+    jsonl_string, write_jsonl, AlertReason, Collector, Deterministic, GapGauge, NoProbe, Probe,
+    TraceEvent,
+};
 use bshm_sim::OnlineScheduler;
 use bshm_workload::catalogs::{dec_geometric, inc_geometric, sawtooth};
 use bshm_workload::{ArrivalProcess, DurationLaw, SizeLaw, WorkloadSpec};
 use serde::Serialize;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -511,12 +513,8 @@ impl Tenant {
         let (_, batch) = self
             .run_to(scheduler.as_mut(), target, true)
             .map_err(|e| format!("kill batch: {e}"))?;
-        let mut text = String::new();
-        for e in self.events.iter().chain(batch.iter()) {
-            let line = serde_json::to_string(e).map_err(|e| format!("encoding torn log: {e}"))?;
-            text.push_str(&line);
-            text.push('\n');
-        }
+        let text = jsonl_string(self.events.iter().chain(&batch))
+            .map_err(|e| format!("encoding torn log: {e}"))?;
         let torn = tear_final_line(&text);
         std::fs::remove_file(&self.log_path).ok();
         std::fs::write(bshm_obs::sink::partial_path(&self.log_path), torn)
@@ -739,10 +737,8 @@ impl Tenant {
         } else {
             TraceWriter::extend(&self.log_path)?
         };
-        for e in &self.events[self.logged..] {
-            let line = serde_json::to_string(e).map_err(|e| format!("encoding log: {e}"))?;
-            writeln!(w, "{line}").map_err(|e| format!("writing log: {e}"))?;
-        }
+        write_jsonl(&mut w, &self.events[self.logged..])
+            .map_err(|e| format!("writing log: {e}"))?;
         w.finalize()?;
         self.logged = self.events.len();
         Ok(())

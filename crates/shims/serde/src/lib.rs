@@ -2,24 +2,29 @@
 //!
 //! The build environment has no registry access, so this crate provides
 //! the subset of serde the workspace actually uses: `Serialize` /
-//! `Deserialize` traits (value-model based, not visitor based) plus
-//! derive macros for plain structs, tuple structs and enums with unit /
-//! newtype / struct variants — the only shapes the workspace derives.
+//! `Deserialize` traits plus derive macros for plain structs, tuple
+//! structs and enums with unit / newtype / struct variants — the only
+//! shapes the workspace derives.
 //!
-//! The JSON data model lives here as [`Value`]; `serde_json` (also
-//! shimmed) provides the text encoding. Representation conventions match
-//! real serde's JSON output: structs are objects, newtype structs are
-//! transparent, unit enum variants are strings, and data-carrying enum
-//! variants are single-key objects (externally tagged).
+//! The two halves are asymmetric. Serialization streams: a
+//! [`Serialize`] impl appends its JSON text to an [`Encoder`], which
+//! writes straight to any `io::Write` with no intermediate tree.
+//! Deserialization goes through [`Value`], the parsed JSON tree that
+//! `serde_json` (also shimmed) builds and [`Deserialize`] reads; `Value`
+//! is parse-side only. Representation conventions match real serde's
+//! JSON output: structs are objects, newtype structs are transparent,
+//! unit enum variants are strings, and data-carrying enum variants are
+//! single-key objects (externally tagged).
 
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// The serialization data model: an ordered JSON-like value tree.
+/// The parsed JSON tree that [`Deserialize`] reads from.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -63,10 +68,10 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can be converted into the data model.
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Converts `self` into a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Appends `self`'s JSON encoding to `enc`.
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>);
 }
 
 /// Types that can be reconstructed from the data model.
@@ -94,11 +99,234 @@ pub fn as_enum(v: &Value) -> Option<(&str, &Value)> {
     }
 }
 
+// ------------------------------------------------------------- encoding
+
+/// Streams JSON text to a writer.
+///
+/// Compact and pretty output (2-space indent, like real `serde_json`)
+/// share one code path: pretty mode only adds the line breaks and the
+/// space after `:`. Containers are written as `begin_*`, then
+/// [`Encoder::element`] or a key before each item, then `end_*`.
+///
+/// Errors are sticky: the first non-finite float or I/O failure is kept,
+/// every later write is skipped, and [`Encoder::finish`] returns it.
+pub struct Encoder<W> {
+    out: W,
+    pretty: bool,
+    depth: usize,
+    /// Nothing written yet in the innermost open container.
+    first: bool,
+    error: Option<Error>,
+}
+
+impl<W: io::Write> Encoder<W> {
+    /// An encoder writing compact (`pretty = false`) or 2-space indented
+    /// JSON to `out`.
+    pub fn new(out: W, pretty: bool) -> Self {
+        Encoder {
+            out,
+            pretty,
+            depth: 0,
+            first: true,
+            error: None,
+        }
+    }
+
+    /// Returns the writer, or the first error hit while encoding.
+    pub fn finish(self) -> Result<W, Error> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.out),
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_all(bytes) {
+                self.error = Some(Error(format!("writing JSON: {e}")));
+            }
+        }
+    }
+
+    fn newline(&mut self) {
+        self.put(b"\n");
+        for _ in 0..self.depth {
+            self.put(b"  ");
+        }
+    }
+
+    fn open(&mut self, bracket: &[u8]) {
+        self.put(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: &[u8]) {
+        self.depth -= 1;
+        if self.pretty && !self.first {
+            self.newline();
+        }
+        self.put(bracket);
+        // The enclosing container now holds this value.
+        self.first = false;
+    }
+
+    /// Opens a JSON object.
+    pub fn begin_object(&mut self) {
+        self.open(b"{");
+    }
+
+    /// Closes the innermost JSON object.
+    pub fn end_object(&mut self) {
+        self.close(b"}");
+    }
+
+    /// Opens a JSON array.
+    pub fn begin_array(&mut self) {
+        self.open(b"[");
+    }
+
+    /// Closes the innermost JSON array.
+    pub fn end_array(&mut self) {
+        self.close(b"]");
+    }
+
+    /// Starts the next array item: the separating `,` and, when pretty,
+    /// the line break and indent.
+    pub fn element(&mut self) {
+        if !self.first {
+            self.put(b",");
+        }
+        self.first = false;
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    /// Starts the next object member under `key`, escaping it.
+    pub fn key(&mut self, key: &str) {
+        self.element();
+        self.str(key);
+        self.colon();
+    }
+
+    /// Starts the next object member under a key that is already encoded
+    /// as a JSON string, quotes included (derive-generated field names).
+    pub fn field(&mut self, encoded_key: &str) {
+        self.element();
+        self.put(encoded_key.as_bytes());
+        self.colon();
+    }
+
+    fn colon(&mut self) {
+        self.put(if self.pretty { b": " } else { b":" });
+    }
+
+    /// Writes JSON text that is already encoded (derive-generated unit
+    /// variant names).
+    pub fn literal(&mut self, json: &str) {
+        self.put(json.as_bytes());
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.put(b"null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.put(if b { b"true" } else { b"false" });
+    }
+
+    /// Writes a non-negative integer.
+    pub fn u64(&mut self, n: u64) {
+        let mut buf = [0u8; 20];
+        let start = digits(&mut buf, n);
+        self.put(&buf[start..]);
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, n: i64) {
+        if n < 0 {
+            self.put(b"-");
+        }
+        self.u64(n.unsigned_abs());
+    }
+
+    /// Writes a float. Integral values below 1e15 keep a `.0` so they
+    /// re-parse as floats; a non-finite value is an error.
+    pub fn f64(&mut self, x: f64) {
+        if !x.is_finite() {
+            self.error
+                .get_or_insert_with(|| Error(format!("cannot encode non-finite float {x}")));
+            return;
+        }
+        let text = if x.fract() == 0.0 && x.abs() < 1e15 {
+            format!("{x:.1}")
+        } else {
+            format!("{x}")
+        };
+        self.put(text.as_bytes());
+    }
+
+    /// Writes a JSON string, escaping quotes, backslashes and control
+    /// characters. Each run of bytes that needs no escape is written in
+    /// one piece.
+    pub fn str(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bytes = s.as_bytes();
+        self.put(b"\"");
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let control;
+            let escaped: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\t' => b"\\t",
+                b'\r' => b"\\r",
+                0..=0x1f => {
+                    control = [
+                        b'\\',
+                        b'u',
+                        b'0',
+                        b'0',
+                        HEX[usize::from(b >> 4)],
+                        HEX[usize::from(b & 0xf)],
+                    ];
+                    &control
+                }
+                _ => continue,
+            };
+            self.put(&bytes[run..i]);
+            self.put(escaped);
+            run = i + 1;
+        }
+        self.put(&bytes[run..]);
+        self.put(b"\"");
+    }
+}
+
+/// Writes the decimal digits of `n` right-aligned into `buf` and returns
+/// the index of the first digit.
+fn digits(buf: &mut [u8; 20], mut n: u64) -> usize {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        // n % 10 < 10, so the narrowing is exact.
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return i;
+        }
+    }
+}
+
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(u64::from(*self))
+            fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+                enc.u64(u64::from(*self));
             }
         }
         impl Deserialize for $t {
@@ -118,8 +346,8 @@ macro_rules! impl_uint {
 impl_uint!(u8, u16, u32, u64);
 
 impl Serialize for usize {
-    fn to_value(&self) -> Value {
-        Value::UInt(*self as u64)
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.u64(*self as u64);
     }
 }
 
@@ -134,9 +362,8 @@ impl Deserialize for usize {
 macro_rules! impl_sint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = i64::from(*self);
-                if n >= 0 { Value::UInt(n as u64) } else { Value::Int(n) }
+            fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+                enc.i64(i64::from(*self));
             }
         }
         impl Deserialize for $t {
@@ -159,8 +386,8 @@ macro_rules! impl_sint {
 impl_sint!(i8, i16, i32, i64);
 
 impl Serialize for isize {
-    fn to_value(&self) -> Value {
-        (*self as i64).to_value()
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.i64(*self as i64);
     }
 }
 
@@ -173,8 +400,8 @@ impl Deserialize for isize {
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.f64(*self);
     }
 }
 
@@ -190,8 +417,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.f64(f64::from(*self));
     }
 }
 
@@ -202,8 +429,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.bool(*self);
     }
 }
 
@@ -217,8 +444,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.str(self);
     }
 }
 
@@ -232,20 +459,20 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        (**self).serialize(enc);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        (**self).serialize(enc);
     }
 }
 
@@ -256,8 +483,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        self.as_slice().serialize(enc);
     }
 }
 
@@ -271,16 +498,21 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.begin_array();
+        for x in self {
+            enc.element();
+            x.serialize(enc);
+        }
+        enc.end_array();
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.serialize(enc),
+            None => enc.null(),
         }
     }
 }
@@ -295,12 +527,13 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.begin_object();
+        for (k, v) in self {
+            enc.key(k);
+            v.serialize(enc);
+        }
+        enc.end_object();
     }
 }
 
@@ -317,8 +550,13 @@ impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn serialize<W: io::Write>(&self, enc: &mut Encoder<W>) {
+        enc.begin_array();
+        enc.element();
+        self.0.serialize(enc);
+        enc.element();
+        self.1.serialize(enc);
+        enc.end_array();
     }
 }
 
@@ -337,32 +575,58 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&7u64.to_value()), Ok(7));
-        assert_eq!(i32::from_value(&(-3i32).to_value()), Ok(-3));
-        assert_eq!(bool::from_value(&true.to_value()), Ok(true));
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()),
-            Ok("hi".to_string())
-        );
-        assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
-        // Integers are accepted where floats are expected.
-        assert_eq!(f64::from_value(&Value::UInt(4)), Ok(4.0));
+    fn encode<T: Serialize + ?Sized>(v: &T, pretty: bool) -> Result<String, Error> {
+        let mut enc = Encoder::new(Vec::new(), pretty);
+        v.serialize(&mut enc);
+        Ok(String::from_utf8(enc.finish()?).unwrap())
     }
 
     #[test]
-    fn containers_round_trip() {
-        let xs = vec![1u64, 2, 3];
-        assert_eq!(Vec::<u64>::from_value(&xs.to_value()), Ok(xs));
-        assert_eq!(Option::<u64>::from_value(&Value::Null), Ok(None));
-        assert_eq!(Option::<u64>::from_value(&Value::UInt(1)), Ok(Some(1)));
+    fn nested_containers_share_one_layout_path() {
+        let v = vec![vec![], vec![1u64, 2]];
+        assert_eq!(encode(&v, false).unwrap(), "[[],[1,2]]");
+        assert_eq!(
+            encode(&v, true).unwrap(),
+            "[\n  [],\n  [\n    1,\n    2\n  ]\n]"
+        );
+        let mut map = std::collections::BTreeMap::new();
+        map.insert("k\"".to_string(), (true, None::<u8>));
+        assert_eq!(encode(&map, false).unwrap(), r#"{"k\"":[true,null]}"#);
+        assert_eq!(
+            encode(&map, true).unwrap(),
+            "{\n  \"k\\\"\": [\n    true,\n    null\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn integers_and_floats_format_like_display() {
+        for n in [0u64, 9, 10, 1_234_567, u64::MAX] {
+            assert_eq!(encode(&n, false).unwrap(), n.to_string());
+        }
+        for n in [i64::MIN, -10, -1, 0, i64::MAX] {
+            assert_eq!(encode(&n, false).unwrap(), n.to_string());
+        }
+        assert_eq!(encode(&2.0f64, false).unwrap(), "2.0");
+        assert_eq!(encode(&0.5f64, false).unwrap(), "0.5");
+        assert_eq!(encode(&1e15f64, false).unwrap(), "1000000000000000");
+    }
+
+    #[test]
+    fn non_finite_floats_are_sticky_errors() {
+        let v = vec![(1.0f64, "a"), (f64::NAN, "b"), (f64::INFINITY, "c")];
+        for pretty in [false, true] {
+            let e = encode(&v, pretty).unwrap_err();
+            assert_eq!(e.0, "cannot encode non-finite float NaN");
+        }
     }
 
     #[test]
     fn range_errors_reported() {
         assert!(u8::from_value(&Value::UInt(300)).is_err());
         assert!(u64::from_value(&Value::Str("x".into())).is_err());
+        // Integers are accepted where floats are expected.
+        assert_eq!(f64::from_value(&Value::UInt(4)), Ok(4.0));
+        assert_eq!(Option::<u64>::from_value(&Value::Null), Ok(None));
     }
 
     #[test]

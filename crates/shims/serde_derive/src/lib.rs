@@ -11,8 +11,11 @@
 //! * enums whose variants are unit, newtype, or struct-like (encoded
 //!   externally tagged, exactly like real serde's JSON default).
 //!
-//! Generics, `where` clauses and `#[serde(...)]` attributes are not
-//! supported and panic at expansion time with a clear message.
+//! `Serialize` impls stream JSON through `serde::Encoder`. Field and
+//! variant names are JSON-encoded once, here at expansion time, and
+//! written as literals. Generics, `where` clauses and `#[serde(...)]`
+//! attributes are not supported and panic at expansion time with a clear
+//! message.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -213,29 +216,57 @@ fn render(item: &Item, mode: Mode) -> TokenStream {
         .expect("serde shim derive: generated code parses")
 }
 
-fn obj_entry(key: &str, value_expr: &str) -> String {
-    format!("(::std::string::String::from(\"{key}\"), {value_expr})")
+/// A Rust string literal holding `name` as a JSON string, quotes
+/// included, so generated code writes field and variant names without
+/// encoding them at run time. Names are identifiers, which never need a
+/// JSON escape.
+fn json_literal(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
+}
+
+/// Statements writing a JSON object with one member per field, each
+/// value read from the expression `{access}{field}`.
+fn object(fields: &[String], access: &str) -> String {
+    let mut code = String::from("__enc.begin_object();");
+    for f in fields {
+        code.push_str(&format!(
+            " __enc.field({}); ::serde::Serialize::serialize({access}{f}, __enc);",
+            json_literal(f)
+        ));
+    }
+    code.push_str(" __enc.end_object();");
+    code
+}
+
+/// Statements writing a JSON array of `exprs`.
+fn array(exprs: &[String]) -> String {
+    let mut code = String::from("__enc.begin_array();");
+    for expr in exprs {
+        code.push_str(&format!(
+            " __enc.element(); ::serde::Serialize::serialize({expr}, __enc);"
+        ));
+    }
+    code.push_str(" __enc.end_array();");
+    code
+}
+
+/// Statements writing `inner` as the payload of an externally tagged
+/// variant: `{"Variant": inner}`.
+fn tagged(vname: &str, inner: &str) -> String {
+    format!(
+        "__enc.begin_object(); __enc.field({}); {inner} __enc.end_object();",
+        json_literal(vname)
+    )
 }
 
 fn render_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| obj_entry(f, &format!("::serde::Serialize::to_value(&self.{f})")))
-                .collect();
-            format!(
-                "::serde::Value::Object(::std::vec![{}])",
-                entries.join(", ")
-            )
-        }
-        Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Shape::NamedStruct(fields) => object(fields, "&self."),
+        Shape::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __enc);".to_string(),
         Shape::TupleStruct(n) => {
-            let parts: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{}])", parts.join(", "))
+            let exprs: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
+            array(&exprs)
         }
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants.iter().map(|v| serialize_arm(name, v)).collect();
@@ -244,7 +275,7 @@ fn render_serialize(item: &Item) -> String {
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize<__W: ::std::io::Write>(&self, __enc: &mut ::serde::Encoder<__W>) {{ {body} }}\n\
          }}"
     )
 }
@@ -252,40 +283,23 @@ fn render_serialize(item: &Item) -> String {
 fn serialize_arm(name: &str, v: &Variant) -> String {
     let vname = &v.name;
     match &v.kind {
-        VariantKind::Unit => format!(
-            "{name}::{vname} => ::serde::Value::Str(::std::string::String::from(\"{vname}\")),"
+        VariantKind::Unit => format!("{name}::{vname} => __enc.literal({}),", json_literal(vname)),
+        VariantKind::Named(fields) => format!(
+            "{name}::{vname} {{ {} }} => {{ {} }}",
+            fields.join(", "),
+            tagged(vname, &object(fields, ""))
         ),
-        VariantKind::Named(fields) => {
-            let binders = fields.join(", ");
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| obj_entry(f, &format!("::serde::Serialize::to_value({f})")))
-                .collect();
-            let inner = format!(
-                "::serde::Value::Object(::std::vec![{}])",
-                entries.join(", ")
-            );
-            let tagged = obj_entry(vname, &inner);
-            format!(
-                "{name}::{vname} {{ {binders} }} => \
-                 ::serde::Value::Object(::std::vec![{tagged}]),"
-            )
-        }
         VariantKind::Tuple(n) => {
             let binders: Vec<String> = (0..*n).map(|k| format!("x{k}")).collect();
             let inner = if *n == 1 {
-                "::serde::Serialize::to_value(x0)".to_string()
+                "::serde::Serialize::serialize(x0, __enc);".to_string()
             } else {
-                let parts: Vec<String> = binders
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
-                format!("::serde::Value::Array(::std::vec![{}])", parts.join(", "))
+                array(&binders)
             };
-            let tagged = obj_entry(vname, &inner);
             format!(
-                "{name}::{vname}({}) => ::serde::Value::Object(::std::vec![{tagged}]),",
-                binders.join(", ")
+                "{name}::{vname}({}) => {{ {} }}",
+                binders.join(", "),
+                tagged(vname, &inner)
             )
         }
     }

@@ -1,14 +1,14 @@
 //! Minimal in-tree stand-in for `serde_json`: compact and pretty JSON
-//! encoding plus a recursive-descent parser, over the `serde` shim's
-//! [`Value`] model. Supports exactly the API surface the workspace uses:
-//! [`to_string`], [`to_string_pretty`], [`from_str`], [`to_value`] and
-//! [`from_value`].
+//! output streamed through the `serde` shim's [`serde::Encoder`], plus a
+//! recursive-descent parser into the shim's [`Value`] tree. Supports
+//! exactly the API surface the workspace uses: [`to_string`],
+//! [`to_string_pretty`], [`to_writer`], [`from_str`] and [`from_value`].
 
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Encoder, Serialize, Value};
 use std::fmt;
-use std::fmt::Write as _;
+use std::io;
 
 /// JSON encoding/decoding error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,24 +28,36 @@ impl From<serde::Error> for Error {
     }
 }
 
+/// Serializes a value as compact JSON straight into `writer`. On error
+/// the writer may hold a partial document, as with real `serde_json`.
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(writer: W, value: &T) -> Result<(), Error> {
+    encode(writer, value, false).map(drop)
+}
+
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0)?;
-    Ok(out)
+    encode_string(value, false)
 }
 
 /// Serializes a value to pretty JSON (2-space indent, like real
 /// `serde_json`).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0)?;
-    Ok(out)
+    encode_string(value, true)
 }
 
-/// Converts a serializable value into the shim's [`Value`] model.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
+fn encode<W: io::Write, T: Serialize + ?Sized>(
+    writer: W,
+    value: &T,
+    pretty: bool,
+) -> Result<W, Error> {
+    let mut enc = Encoder::new(writer, pretty);
+    value.serialize(&mut enc);
+    Ok(enc.finish()?)
+}
+
+fn encode_string<T: Serialize + ?Sized>(value: &T, pretty: bool) -> Result<String, Error> {
+    let bytes = encode(Vec::new(), value, pretty)?;
+    String::from_utf8(bytes).map_err(|e| Error(format!("encoder wrote invalid UTF-8: {e}")))
 }
 
 /// Reconstructs a value from the shim's [`Value`] model.
@@ -66,104 +78,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         return Err(p.err("trailing characters"));
     }
     from_value(&v)
-}
-
-// ------------------------------------------------------------- encoding
-
-fn write_value(
-    out: &mut String,
-    v: &Value,
-    indent: Option<usize>,
-    depth: usize,
-) -> Result<(), Error> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(x) => {
-            if !x.is_finite() {
-                return Err(Error(format!("cannot encode non-finite float {x}")));
-            }
-            // Keep floats recognizably floats on re-parse.
-            if x.fract() == 0.0 && x.abs() < 1e15 {
-                let _ = write!(out, "{x:.1}");
-            } else {
-                let _ = write!(out, "{x}");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            write_seq(out, items.len(), indent, depth, '[', ']', |out, i, d| {
-                write_value(out, &items[i], indent, d)
-            })?;
-        }
-        Value::Object(pairs) => {
-            write_seq(out, pairs.len(), indent, depth, '{', '}', |out, i, d| {
-                write_string(out, &pairs[i].0);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, &pairs[i].1, indent, d)
-            })?;
-        }
-    }
-    Ok(())
-}
-
-fn write_seq(
-    out: &mut String,
-    len: usize,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    mut item: impl FnMut(&mut String, usize, usize) -> Result<(), Error>,
-) -> Result<(), Error> {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return Ok(());
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * (depth + 1)));
-        }
-        item(out, i, depth + 1)?;
-    }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat(' ').take(w * depth));
-    }
-    out.push(close);
-    Ok(())
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // -------------------------------------------------------------- parsing
@@ -379,6 +293,37 @@ mod tests {
         assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
         assert_eq!(from_str::<bool>("true").unwrap(), true);
         assert_eq!(from_str::<String>("\"a\\nb\"").unwrap(), "a\nb");
+    }
+
+    #[test]
+    fn primitives_round_trip() {
+        assert_eq!(from_str::<u64>(&to_string(&7u64).unwrap()), Ok(7));
+        assert_eq!(from_str::<i32>(&to_string(&-3i32).unwrap()), Ok(-3));
+        assert_eq!(from_str::<bool>(&to_string(&true).unwrap()), Ok(true));
+        assert_eq!(
+            from_str::<String>(&to_string(&"hi".to_string()).unwrap()),
+            Ok("hi".to_string())
+        );
+        assert_eq!(from_str::<f64>(&to_string(&1.5f64).unwrap()), Ok(1.5));
+        // Integers are accepted where floats are expected.
+        assert_eq!(from_str::<f64>("4"), Ok(4.0));
+    }
+
+    #[test]
+    fn containers_round_trip() {
+        let xs = vec![1u64, 2, 3];
+        assert_eq!(from_str::<Vec<u64>>(&to_string(&xs).unwrap()), Ok(xs));
+        let opts = vec![Some(1u64), None];
+        assert_eq!(to_string(&opts).unwrap(), "[1,null]");
+        assert_eq!(from_str::<Vec<Option<u64>>>("[1,null]"), Ok(opts));
+    }
+
+    #[test]
+    fn to_writer_appends_compact_json() {
+        let mut buf = b"x".to_vec();
+        to_writer(&mut buf, &vec![(1u64, "a")]).unwrap();
+        assert_eq!(buf, br#"x[[1,"a"]]"#);
+        assert!(to_writer(&mut buf, &f64::NAN).is_err());
     }
 
     #[test]

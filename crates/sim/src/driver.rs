@@ -14,9 +14,7 @@ use bshm_core::job::JobId;
 use bshm_core::ops::{OpCounter, OpProbe, OpTrace, PlaceReason};
 use bshm_core::schedule::{MachineId, Schedule};
 use bshm_core::time::TimePoint;
-use bshm_obs::{
-    span, GapProbe, GapTimeline, HealthProbe, HealthReport, NoProbe, Probe, TraceEvent,
-};
+use bshm_obs::{span, NoProbe, Probe, TraceEvent};
 use std::fmt;
 use std::time::Instant;
 
@@ -266,44 +264,6 @@ pub fn run_online_dyn(
     run_online(instance, &mut &mut *scheduler)
 }
 
-/// Like [`run_online_probed`], but with live gap gauges: wraps `probe` in
-/// a [`GapProbe`] keyed to the instance's catalog, so the emitted stream
-/// carries one `GapSample` (incremental lower bound vs accrued cost) per
-/// distinct timestamp. Returns the schedule, the wrapped probe, and the
-/// sampled [`GapTimeline`].
-pub fn run_online_gap<S: OnlineScheduler, P: Probe>(
-    instance: &Instance,
-    scheduler: &mut S,
-    probe: P,
-) -> Result<(Schedule, P, GapTimeline), SimError> {
-    let mut gap = GapProbe::new(instance.catalog(), probe);
-    let schedule = run_online_probed(instance, scheduler, &mut gap)?;
-    let (probe, timeline) = gap.into_parts();
-    Ok((schedule, probe, timeline))
-}
-
-/// Like [`run_online_gap`], but with the live health plane between the
-/// gap gauge and the caller's probe: the stream is
-/// `driver → GapProbe → HealthProbe → probe`, so the SLO engine sees
-/// every event *including* the `GapSample` gauges it needs for the
-/// windowed gap-ratio rule, and the alerts it emits land in the caller's
-/// probe (and trace) like any other event.
-///
-/// Returns the schedule, the caller's probe, the gap timeline, and the
-/// final [`HealthReport`] (alerts fired, windows evaluated, snapshot
-/// files written when `health` was configured with a snapshot dir).
-pub fn run_online_health<S: OnlineScheduler, P: Probe>(
-    instance: &Instance,
-    scheduler: &mut S,
-    health: HealthProbe<P>,
-) -> Result<(Schedule, P, GapTimeline, HealthReport), SimError> {
-    let mut gap = GapProbe::new(instance.catalog(), health);
-    let schedule = run_online_probed(instance, scheduler, &mut gap)?;
-    let (health, timeline) = gap.into_parts();
-    let (probe, report) = health.into_parts();
-    Ok((schedule, probe, timeline, report))
-}
-
 /// Like [`run_online_probed`], but drives the scheduler through
 /// [`OnlineScheduler::on_arrival_explained`] and emits one
 /// [`TraceEvent::Decision`] per arrival — the candidate machines the
@@ -415,6 +375,7 @@ mod tests {
     use bshm_core::job::Job;
     use bshm_core::machine::{Catalog, MachineType, TypeIndex};
     use bshm_core::validate::validate_schedule;
+    use bshm_obs::{GapProbe, HealthProbe};
 
     /// Opens a dedicated smallest-fitting machine per job.
     struct OneMachinePerJob;
@@ -506,8 +467,9 @@ mod tests {
     #[test]
     fn gap_run_gauges_cost_against_lower_bound() {
         let inst = instance();
-        let (s, collector, timeline) =
-            run_online_gap(&inst, &mut OneMachinePerJob, bshm_obs::Collector::default()).unwrap();
+        let mut gap = GapProbe::new(inst.catalog(), bshm_obs::Collector::default());
+        let s = run_online_probed(&inst, &mut OneMachinePerJob, &mut gap).unwrap();
+        let (collector, timeline) = gap.into_parts();
         assert_eq!(validate_schedule(&s, &inst), Ok(()));
         // The wrapped probe saw one GapSample per distinct event time.
         let sampled = bshm_obs::gap_timeline_from_events(&collector.events);
@@ -531,8 +493,10 @@ mod tests {
         let inst = instance();
         let spec = bshm_obs::SloSpec::parse("window:4;gap:20000:2;storm:1;drops:1").unwrap();
         let health = HealthProbe::new(spec, inst.catalog().len(), bshm_obs::Collector::default());
-        let (s, collector, timeline, report) =
-            run_online_health(&inst, &mut OneMachinePerJob, health).unwrap();
+        let mut gap = GapProbe::new(inst.catalog(), health);
+        let s = run_online_probed(&inst, &mut OneMachinePerJob, &mut gap).unwrap();
+        let (health, timeline) = gap.into_parts();
+        let (collector, report) = health.into_parts();
         assert_eq!(validate_schedule(&s, &inst), Ok(()));
         // No faults, sane gap ratio: the default-style rules stay quiet.
         assert!(!report.breached(), "unexpected alerts: {:?}", report.alerts);
@@ -548,8 +512,9 @@ mod tests {
         // Any gap ratio exceeds a zero-milli threshold after one window.
         let spec = bshm_obs::SloSpec::parse("window:4;gap:0:1").unwrap();
         let health = HealthProbe::new(spec, inst.catalog().len(), bshm_obs::Collector::default());
-        let (_, collector, _, report) =
-            run_online_health(&inst, &mut OneMachinePerJob, health).unwrap();
+        let mut gap = GapProbe::new(inst.catalog(), health);
+        run_online_probed(&inst, &mut OneMachinePerJob, &mut gap).unwrap();
+        let (collector, report) = gap.into_parts().0.into_parts();
         assert!(report.breached());
         assert!(collector
             .events

@@ -20,7 +20,7 @@ pub use clairvoyant::{
     run_clairvoyant, run_clairvoyant_logged, ClairvoyantScheduler, ClairvoyantView,
 };
 pub use driver::{
-    run_online, run_online_dyn, run_online_gap, run_online_health, run_online_probed,
-    run_online_xray, ArrivalView, OnlineScheduler, SimError,
+    run_online, run_online_dyn, run_online_probed, run_online_xray, ArrivalView, OnlineScheduler,
+    SimError,
 };
 pub use pool::{MachinePool, PlacementError};
