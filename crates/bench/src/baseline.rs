@@ -1238,29 +1238,9 @@ mod tests {
                 assert!(a.recovery_cost_ratio >= 0.0, "{}/{}", w.workload, a.alg);
             }
         }
-        // Determinism: a second run schedules identically (costs equal).
-        let again = run_suite(true, "TEST");
-        for (w1, w2) in report.workloads.iter().zip(&again.workloads) {
-            for (a1, a2) in w1.algorithms.iter().zip(&w2.algorithms) {
-                assert_eq!(a1.cost, a2.cost, "{}/{}", w1.workload, a1.alg);
-                assert_eq!(a1.peak_open_by_type, a2.peak_open_by_type);
-                assert_eq!(a1.displaced_jobs, a2.displaced_jobs);
-                // Op counts are integers derived from control flow: two
-                // runs must agree exactly, not approximately.
-                assert_eq!(
-                    a1.total_scan_ops, a2.total_scan_ops,
-                    "{}/{}",
-                    w1.workload, a1.alg
-                );
-                // Alerting is event-clock only: byte-for-byte the same
-                // verdict on every rerun (the v5 determinism gate).
-                assert_eq!(
-                    a1.alerts_fired, a2.alerts_fired,
-                    "{}/{}",
-                    w1.workload, a1.alg
-                );
-            }
-        }
+        // Determinism across runs and commits: every deterministic column
+        // equals the committed golden exactly.
+        check_answers_golden(&report);
         // The asserted probe bound (satellite of the probe_overhead bench).
         assert!(
             report.probe_overhead.within_bound,
@@ -1280,12 +1260,112 @@ mod tests {
             "{}",
             report.service.overloads
         );
-        assert_eq!(report.service.overloads, again.service.overloads);
-        assert_eq!(report.service.final_rung, again.service.final_rung);
-        // Comparing a suite run against itself passes. (Not against
-        // `again`: micro-sized quick runs have wall-clock noise beyond
+        // Comparing a suite run against itself passes. (Not against a
+        // second run: micro-sized quick runs have wall-clock noise beyond
         // any sane threshold; the binary's --compare path gates runs of
         // matching size, which CI keeps honest with release builds.)
         assert!(compare(&report, &report, DEFAULT_THRESHOLD).passed());
+    }
+
+    /// The committed answers of a quick suite run: one
+    /// `<scope> <column> <value>` line per deterministic column.
+    const ANSWERS_GOLDEN: &str = include_str!("../golden/quick_answers.txt");
+
+    /// Every deterministic column of `report` as `(scope, column, value)`,
+    /// with scope `workload`, `workload/alg` or `service`. Floats print in
+    /// Rust's shortest round-trip form, so equal strings mean equal bits.
+    fn answer_lines(report: &BaselineReport) -> Vec<(String, &'static str, String)> {
+        let mut lines = Vec::new();
+        for w in &report.workloads {
+            let scope = w.workload.clone();
+            lines.push((scope.clone(), "jobs", w.jobs.to_string()));
+            lines.push((scope, "lower_bound", w.lower_bound.to_string()));
+            for a in &w.algorithms {
+                let scope = format!("{}/{}", w.workload, a.alg);
+                let mut col = |column, value: String| lines.push((scope.clone(), column, value));
+                col("cost", a.cost.to_string());
+                col("ratio", format!("{:?}", a.ratio));
+                col("placements", a.placements.to_string());
+                col("peak_open_by_type", format!("{:?}", a.peak_open_by_type));
+                col("total_scan_ops", a.total_scan_ops.to_string());
+                col(
+                    "ops_per_decision_p50",
+                    format!("{:?}", a.ops_per_decision_p50),
+                );
+                col(
+                    "ops_per_decision_p95",
+                    format!("{:?}", a.ops_per_decision_p95),
+                );
+                col(
+                    "ops_per_decision_p99",
+                    format!("{:?}", a.ops_per_decision_p99),
+                );
+                col("final_gap_ratio", format!("{:?}", a.final_gap_ratio));
+                col("max_gap_ratio", format!("{:?}", a.max_gap_ratio));
+                col("alerts_fired", a.alerts_fired.to_string());
+                col("displaced_jobs", a.displaced_jobs.to_string());
+                col(
+                    "recovery_cost_ratio",
+                    format!("{:?}", a.recovery_cost_ratio),
+                );
+            }
+        }
+        let s = &report.service;
+        let mut col = |column, value: String| lines.push(("service".to_string(), column, value));
+        col("crash_recovery_passed", s.crash_recovery_passed.to_string());
+        col("overload_passed", s.overload_passed.to_string());
+        col("restore_ok", s.restore_ok.to_string());
+        col("overloads", s.overloads.to_string());
+        col("sheds", s.sheds.to_string());
+        col("final_rung", s.final_rung.to_string());
+        col("rung_name", s.rung_name.clone());
+        lines
+    }
+
+    /// Compares `report` against [`ANSWERS_GOLDEN`] in both directions and
+    /// fails naming every differing `scope column`. With
+    /// `BSHM_BLESS_ANSWERS=1` it rewrites the golden instead; a change
+    /// that means to move an answer does that and says why.
+    fn check_answers_golden(report: &BaselineReport) {
+        let actual = answer_lines(report);
+        if std::env::var_os("BSHM_BLESS_ANSWERS").is_some() {
+            let mut text = String::from(
+                "# Deterministic columns of `baseline run --quick`; see check_answers_golden.\n",
+            );
+            for (scope, column, value) in &actual {
+                text.push_str(&format!("{scope} {column} {value}\n"));
+            }
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/quick_answers.txt");
+            std::fs::write(path, text).unwrap();
+            return;
+        }
+        let mut golden = std::collections::BTreeMap::new();
+        for line in ANSWERS_GOLDEN.lines().filter(|l| !l.starts_with('#')) {
+            let mut parts = line.splitn(3, ' ');
+            let (Some(scope), Some(column), Some(value)) =
+                (parts.next(), parts.next(), parts.next())
+            else {
+                panic!("malformed golden line {line:?}");
+            };
+            golden.insert((scope.to_string(), column.to_string()), value.to_string());
+        }
+        let mut diffs = Vec::new();
+        for (scope, column, value) in &actual {
+            match golden.remove(&(scope.clone(), (*column).to_string())) {
+                Some(want) if want == *value => {}
+                Some(want) => diffs.push(format!("{scope} {column}: golden {want}, got {value}")),
+                None => diffs.push(format!("{scope} {column}: {value} is not in the golden")),
+            }
+        }
+        for ((scope, column), want) in golden {
+            diffs.push(format!(
+                "{scope} {column}: golden {want}, missing from the run"
+            ));
+        }
+        assert!(
+            diffs.is_empty(),
+            "quick suite answers differ from golden/quick_answers.txt:\n{}",
+            diffs.join("\n")
+        );
     }
 }
