@@ -12,6 +12,7 @@
 //! | [`general`] | type forest, GENERAL-OFFLINE/-ONLINE (conjectured O(√m), O(√m·μ)) | §V |
 //! | [`baseline`] | dedicated/first-fit/best-fit/single-type strawmen | — |
 //! | [`exact`] | branch-and-bound optimum for tiny instances | — |
+//! | [`registry`] | the named algorithms every caller dispatches on | — |
 //!
 //! Offline algorithms are plain functions `Instance → Schedule`; online
 //! algorithms implement [`bshm_sim::OnlineScheduler`] and run under
@@ -28,6 +29,7 @@ pub mod dec;
 pub mod exact;
 pub mod general;
 pub mod inc;
+pub mod registry;
 
 use bshm_chart::placement::PlacementOrder;
 use bshm_core::instance::Instance;
@@ -47,11 +49,7 @@ pub use inc::{
 /// class: DEC-OFFLINE, INC-OFFLINE or GENERAL-OFFLINE.
 #[must_use]
 pub fn auto_offline(instance: &Instance, order: PlacementOrder) -> Schedule {
-    match instance.classify() {
-        CatalogClass::Dec => dec_offline(instance, order),
-        CatalogClass::Inc => inc_offline(instance, order),
-        CatalogClass::General => general_offline(instance, order),
-    }
+    auto_offline_logged(instance, order, &mut DecisionLog::disabled())
 }
 
 /// [`auto_offline`] with per-job op accounting: the dispatched solver
@@ -77,9 +75,9 @@ pub fn auto_offline_logged(
 /// machine; a failure indicates a bug).
 #[must_use]
 pub fn auto_online(instance: &Instance) -> Schedule {
-    let run = |s: &mut dyn bshm_sim::OnlineScheduler| {
+    let run = |mut s: &mut dyn bshm_sim::OnlineScheduler| {
         // bshm-allow(no-panic): documented in the # Panics section above
-        bshm_sim::run_online_dyn(instance, s).expect("paper policies never overload")
+        bshm_sim::run_online(instance, &mut s).expect("paper policies never overload")
     };
     match instance.classify() {
         CatalogClass::Dec => run(&mut DecOnline::new(instance.catalog())),

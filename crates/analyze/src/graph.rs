@@ -143,12 +143,13 @@ pub const UNRESOLVED_SAMPLE_CAP: usize = 50;
 
 /// Workspace lib names → crate directory names. `crate`/`self`/`super`
 /// normalize to the calling file's own crate.
-const LIB_TO_CRATE: [(&str, &str); 10] = [
+const LIB_TO_CRATE: [(&str, &str); 11] = [
     ("bshm_core", "core"),
     ("bshm_algos", "algos"),
     ("bshm_sim", "sim"),
     ("bshm_obs", "obs"),
     ("bshm_faults", "faults"),
+    ("bshm_serve", "serve"),
     ("bshm_bench", "bench"),
     ("bshm_cli", "cli"),
     ("bshm_chart", "chart"),
@@ -612,6 +613,25 @@ mod tests {
         let r = node(&g, "algos::run");
         let j = node(&g, "core::job_index");
         assert_eq!(g.callees[r], vec![j]);
+    }
+
+    #[test]
+    fn cli_calls_into_serve_resolve_to_the_workspace() {
+        let files = vec![
+            parse(
+                "crates/serve/src/drill.rs",
+                "pub fn overload_drill() -> u32 { 1 }\n",
+            ),
+            parse(
+                "crates/cli/src/commands.rs",
+                "pub fn cmd_drill() { let _ = bshm_serve::drill::overload_drill(); }\n",
+            ),
+        ];
+        let g = build(&files);
+        let c = node(&g, "cli::cmd_drill");
+        let d = node(&g, "serve::overload_drill");
+        assert_eq!(g.callees[c], vec![d]);
+        assert_eq!(g.report.calls_external, 0);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! A unified registry of schedulers for the experiment grids.
+//! The experiment grids' schedulers: every registered algorithm plus the
+//! parameterized ablation variants.
 
-use bshm_algos::baseline::{
-    BestFit, FirstFitAny, NextFit, OneMachinePerJob, RandomFit, SingleType,
-};
-use bshm_algos::{dec_offline, general_offline, inc_offline, DecOnline, GeneralOnline, IncOnline};
+use bshm_algos::baseline::{NextFit, OneMachinePerJob, RandomFit};
+use bshm_algos::{dec_offline, general_offline, inc_offline, registry, DecOnline};
 use bshm_chart::placement::PlacementOrder;
 use bshm_core::cost::{schedule_cost, Cost};
 use bshm_core::instance::Instance;
 use bshm_core::schedule::Schedule;
 use bshm_core::validate::validate_schedule;
-use bshm_sim::run_online;
+use bshm_obs::NoProbe;
+use bshm_sim::{run_online, OnlineScheduler};
 
 /// Every scheduler the harness can run, offline and online.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,9 +72,14 @@ impl Alg {
         }
     }
 
-    /// Runs the scheduler on an instance.
+    /// Runs the scheduler on an instance. Variants that match a
+    /// registered name run through [`bshm_algos::registry`]; the ablation
+    /// variants build their parameterized schedulers here.
     #[must_use]
     pub fn run(&self, instance: &Instance) -> Schedule {
+        let online = |mut s: &mut dyn OnlineScheduler| {
+            run_online(instance, &mut s).expect("baseline never overloads")
+        };
         match self {
             Alg::DecOffline(o) => dec_offline(instance, *o),
             Alg::DecOfflineDepth(d) => {
@@ -82,44 +87,19 @@ impl Alg {
             }
             Alg::IncOffline(o) => inc_offline(instance, *o),
             Alg::GeneralOffline(o) => general_offline(instance, *o),
-            Alg::DecOnline => run_online(instance, &mut DecOnline::new(instance.catalog()))
-                .expect("dec-online never overloads"),
-            Alg::DecOnlineNoGroupB => run_online(
-                instance,
-                &mut DecOnline::without_group_b(instance.catalog()),
-            )
-            .expect("dec-online never overloads"),
-            Alg::IncOnline => run_online(instance, &mut IncOnline::new(instance.catalog()))
-                .expect("inc-online never overloads"),
-            Alg::GeneralOnline => run_online(instance, &mut GeneralOnline::new(instance.catalog()))
-                .expect("gen-online never overloads"),
-            Alg::FirstFitAny => {
-                run_online(instance, &mut FirstFitAny::default()).expect("baseline never overloads")
-            }
-            Alg::BestFit => {
-                run_online(instance, &mut BestFit::default()).expect("baseline never overloads")
-            }
-            Alg::SingleTypeLargest => {
-                run_online(instance, &mut SingleType::largest()).expect("baseline never overloads")
-            }
-            Alg::OneMachinePerJob => {
-                run_online(instance, &mut OneMachinePerJob).expect("baseline never overloads")
-            }
-            Alg::NextFit => {
-                run_online(instance, &mut NextFit::default()).expect("baseline never overloads")
-            }
-            Alg::RandomFit => {
-                run_online(instance, &mut RandomFit::new(12345)).expect("baseline never overloads")
-            }
-            Alg::PartitionedFfd => bshm_algos::partitioned_ffd(instance),
-            Alg::ClairvoyantDcff => {
-                let base = instance.stats().min_duration;
-                bshm_sim::run_clairvoyant(
-                    instance,
-                    &mut bshm_algos::DurationClassFirstFit::new(base),
-                )
-                .expect("clairvoyant policy never overloads")
-            }
+            Alg::DecOnlineNoGroupB => online(&mut DecOnline::without_group_b(instance.catalog())),
+            Alg::OneMachinePerJob => online(&mut OneMachinePerJob),
+            Alg::NextFit => online(&mut NextFit::default()),
+            Alg::RandomFit => online(&mut RandomFit::new(12345)),
+            Alg::DecOnline
+            | Alg::IncOnline
+            | Alg::GeneralOnline
+            | Alg::FirstFitAny
+            | Alg::BestFit
+            | Alg::SingleTypeLargest
+            | Alg::PartitionedFfd
+            | Alg::ClairvoyantDcff => registry::run_traced(self.name(), instance, &mut NoProbe)
+                .unwrap_or_else(|e| panic!("{}: {e}", self.name())),
         }
     }
 }

@@ -2,15 +2,14 @@
 //! schema-versioned `BENCH_*.json` reports, and a regression comparator.
 //!
 //! [`run_suite`] pushes a fixed workload trio (DEC, INC, and general
-//! catalogs; reproducible seeds) through every registered scheduler
-//! (`bshm_cli::commands::ALG_NAMES`) with a live [`Recorder`] probe and
-//! span timing, and records per-algorithm wall-clock, decision-latency
+//! catalogs; reproducible seeds) through every scheduler in
+//! [`bshm_algos::registry`] with a live [`Recorder`] probe and span
+//! timing, and records per-algorithm wall-clock, decision-latency
 //! quantiles, peak open machines per type, cost vs the §II lower bound,
 //! and recovery overhead (displaced jobs + recovery-cost ratio) from a
-//! separate run under the fixed [`FAULT_PLAN_SPEC`] fault plan. It also measures the `NoProbe` driver overhead against the
-//! un-instrumented driver and asserts it stays within
-//! [`PROBE_OVERHEAD_BOUND`] (the asserted form of the `probe_overhead`
-//! Criterion bench).
+//! separate run under the fixed [`FAULT_PLAN_SPEC`] fault plan. It also
+//! measures the `NoProbe` driver overhead against the un-instrumented
+//! driver and asserts it stays within [`PROBE_OVERHEAD_BOUND`].
 //!
 //! [`compare`] diffs two reports: timing metrics are gated by a
 //! configurable factor threshold (only when the job counts match, so a
@@ -20,7 +19,7 @@
 //! against its recorded bound. The `baseline` binary exits non-zero on
 //! any breach.
 
-use bshm_cli::commands::{online_or_scripted, run_alg_traced, run_alg_xray, ALG_NAMES};
+use bshm_algos::registry::{self, online_or_scripted, run_traced, run_xray};
 use bshm_core::instance::Instance;
 use bshm_core::lower_bound::lower_bound;
 use bshm_core::schedule_cost;
@@ -47,7 +46,7 @@ use std::path::{Path, PathBuf};
 ///
 /// v4 added the decision x-ray columns (`ops_per_decision_p50/p95/p99`,
 /// `total_scan_ops`) from a separate run under the x-ray driver
-/// (`run_alg_xray`): deterministic operation counts, not clocks, so they
+/// (`registry::run_xray`): deterministic operation counts, not clocks, so they
 /// compare exactly across machines.
 ///
 /// v5 added the live-health-plane columns: `alerts_fired` (alerts under
@@ -136,7 +135,7 @@ pub struct WorkloadBaseline {
     pub jobs: u64,
     /// The §II lower bound for the instance.
     pub lower_bound: u64,
-    /// One entry per algorithm, in `ALG_NAMES` order.
+    /// One entry per algorithm, in registry order.
     pub algorithms: Vec<AlgBaseline>,
 }
 
@@ -290,8 +289,8 @@ fn measure_alg(alg: &str, instance: &Instance, lb: u128) -> AlgBaseline {
         HealthProbe::new(SloSpec::default(), n_types, Recorder::new(alg, n_types)),
     );
     let start = bshm_obs::span::now();
-    let schedule = run_alg_traced(alg, instance, &mut probe)
-        .unwrap_or_else(|e| panic!("baseline alg {alg}: {e}"));
+    let schedule =
+        run_traced(alg, instance, &mut probe).unwrap_or_else(|e| panic!("baseline alg {alg}: {e}"));
     let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let spans = span::take();
     if let Some(err) = probe.error() {
@@ -346,7 +345,7 @@ fn measure_alg(alg: &str, instance: &Instance, lb: u128) -> AlgBaseline {
 /// deterministic op-count columns.
 fn measure_ops(alg: &str, instance: &Instance) -> (f64, f64, f64, u64) {
     let mut rec = Recorder::new(alg, instance.catalog().len());
-    let (_, totals) = run_alg_xray(alg, instance, &mut rec)
+    let (_, totals) = run_xray(alg, instance, &mut rec)
         .unwrap_or_else(|e| panic!("baseline alg {alg} under x-ray: {e}"));
     let metrics = rec
         .into_metrics()
@@ -517,8 +516,7 @@ pub fn run_suite(quick: bool, label: &str) -> BaselineReport {
         .into_iter()
         .map(|(name, instance)| {
             let lb = lower_bound(&instance);
-            let algorithms = ALG_NAMES
-                .iter()
+            let algorithms = registry::names()
                 .map(|alg| measure_alg(alg, &instance, lb))
                 .collect();
             WorkloadBaseline {
@@ -695,117 +693,66 @@ pub fn compare(old: &BaselineReport, new: &BaselineReport, threshold: f64) -> Co
                     ));
                     continue;
                 };
-                let path = |m: &str| format!("{}/{}/{m}", nw.workload, na.alg);
-                push_delta(
-                    &mut cmp,
-                    path("wall_ns"),
-                    oa.wall_ns as f64,
-                    na.wall_ns as f64,
-                    Some(threshold),
-                );
-                push_delta(
-                    &mut cmp,
-                    path("decision_ns_p95"),
-                    oa.decision_ns_p95,
-                    na.decision_ns_p95,
-                    Some(threshold),
-                );
-                push_delta(
-                    &mut cmp,
-                    path("decision_ns_p99"),
-                    oa.decision_ns_p99,
-                    na.decision_ns_p99,
-                    Some(threshold),
-                );
-                // Deterministic on a fixed workload: any growth is a real
-                // algorithmic change, so gate at 1.0 (shrinking is fine).
-                push_delta(
-                    &mut cmp,
-                    path("cost"),
-                    oa.cost as f64,
-                    na.cost as f64,
-                    Some(1.0 + 1e-9),
-                );
-                let (opeak, npeak) = (
-                    oa.peak_open_by_type
+                let peak = |a: &AlgBaseline| {
+                    a.peak_open_by_type
                         .iter()
                         .map(|&p| u64::from(p))
-                        .sum::<u64>(),
-                    na.peak_open_by_type
-                        .iter()
-                        .map(|&p| u64::from(p))
-                        .sum::<u64>(),
-                );
-                push_delta(
-                    &mut cmp,
-                    path("peak_open_total"),
-                    opeak as f64,
-                    npeak as f64,
-                    None,
-                );
-                // Recovery overhead is deterministic too, but legitimate
-                // policy/plan tuning moves it: report, don't gate.
-                push_delta(
-                    &mut cmp,
-                    path("displaced_jobs"),
-                    oa.displaced_jobs as f64,
-                    na.displaced_jobs as f64,
-                    None,
-                );
-                // The gap gauges track cost (already gated above); any
-                // worst-case drift is worth seeing but not gating.
-                push_delta(
-                    &mut cmp,
-                    path("max_gap_ratio"),
-                    oa.max_gap_ratio,
-                    na.max_gap_ratio,
-                    None,
-                );
-                // The op counts are deterministic (control flow, not
-                // clocks), but legitimate algorithm work moves them a
-                // little; gate blowups at the timing threshold. Only
-                // reached on matching job counts, so quick-vs-full size
-                // differences never fire these.
-                push_delta(
-                    &mut cmp,
-                    path("total_scan_ops"),
-                    oa.total_scan_ops as f64,
-                    na.total_scan_ops as f64,
-                    Some(threshold),
-                );
-                push_delta(
-                    &mut cmp,
-                    path("ops_per_decision_p95"),
-                    oa.ops_per_decision_p95,
-                    na.ops_per_decision_p95,
-                    Some(threshold),
-                );
-                push_delta(
-                    &mut cmp,
-                    path("ops_per_decision_p99"),
-                    oa.ops_per_decision_p99,
-                    na.ops_per_decision_p99,
-                    Some(threshold),
-                );
-                // Alert counts are event-clock deterministic on a fixed
-                // workload: any new alert is a real behavioural change,
-                // so gate growth exactly (like cost; quieter is fine).
-                push_delta(
-                    &mut cmp,
-                    path("alerts_fired"),
-                    oa.alerts_fired as f64,
-                    na.alerts_fired as f64,
-                    Some(1.0 + 1e-9),
-                );
-                // Windowed latency bursts are wall-clock: same gate as
-                // the whole-run quantiles.
-                push_delta(
-                    &mut cmp,
-                    path("windowed_p99_ns"),
-                    oa.windowed_p99_ns,
-                    na.windowed_p99_ns,
-                    Some(threshold),
-                );
+                        .sum::<u64>()
+                };
+                let (t, exact) = (Some(threshold), Some(1.0 + 1e-9));
+                // Wall-clock columns and the deterministic op counts (which
+                // legitimate algorithm work moves a little) gate blowups at
+                // the threshold. Cost and alerts are event-clock
+                // deterministic on a fixed workload, so any growth is a real
+                // behavioural change (shrinking is fine). Peaks, recovery
+                // overhead and the worst gap ratio are reported, not gated.
+                for (metric, o, n, gate) in [
+                    ("wall_ns", oa.wall_ns as f64, na.wall_ns as f64, t),
+                    ("decision_ns_p95", oa.decision_ns_p95, na.decision_ns_p95, t),
+                    ("decision_ns_p99", oa.decision_ns_p99, na.decision_ns_p99, t),
+                    ("cost", oa.cost as f64, na.cost as f64, exact),
+                    ("peak_open_total", peak(oa) as f64, peak(na) as f64, None),
+                    (
+                        "displaced_jobs",
+                        oa.displaced_jobs as f64,
+                        na.displaced_jobs as f64,
+                        None,
+                    ),
+                    ("max_gap_ratio", oa.max_gap_ratio, na.max_gap_ratio, None),
+                    (
+                        "total_scan_ops",
+                        oa.total_scan_ops as f64,
+                        na.total_scan_ops as f64,
+                        t,
+                    ),
+                    (
+                        "ops_per_decision_p95",
+                        oa.ops_per_decision_p95,
+                        na.ops_per_decision_p95,
+                        t,
+                    ),
+                    (
+                        "ops_per_decision_p99",
+                        oa.ops_per_decision_p99,
+                        na.ops_per_decision_p99,
+                        t,
+                    ),
+                    (
+                        "alerts_fired",
+                        oa.alerts_fired as f64,
+                        na.alerts_fired as f64,
+                        exact,
+                    ),
+                    ("windowed_p99_ns", oa.windowed_p99_ns, na.windowed_p99_ns, t),
+                ] {
+                    push_delta(
+                        &mut cmp,
+                        format!("{}/{}/{metric}", nw.workload, na.alg),
+                        o,
+                        n,
+                        gate,
+                    );
+                }
             }
         }
     }
@@ -824,27 +771,20 @@ pub fn compare(old: &BaselineReport, new: &BaselineReport, threshold: f64) -> Co
         }
     }
     if old.schema_version == new.schema_version {
-        push_delta(
-            &mut cmp,
-            "service/overloads".to_string(),
-            old.service.overloads as f64,
-            new.service.overloads as f64,
-            Some(1.0 + 1e-9),
-        );
-        push_delta(
-            &mut cmp,
-            "service/sheds".to_string(),
-            old.service.sheds as f64,
-            new.service.sheds as f64,
-            Some(1.0 + 1e-9),
-        );
-        push_delta(
-            &mut cmp,
-            "service/final_rung".to_string(),
-            old.service.final_rung as f64,
-            new.service.final_rung as f64,
-            Some(1.0 + 1e-9),
-        );
+        let (o, n) = (&old.service, &new.service);
+        for (name, o, n) in [
+            ("overloads", o.overloads, n.overloads),
+            ("sheds", o.sheds, n.sheds),
+            ("final_rung", o.final_rung, n.final_rung),
+        ] {
+            push_delta(
+                &mut cmp,
+                format!("service/{name}"),
+                o as f64,
+                n as f64,
+                Some(1.0 + 1e-9),
+            );
+        }
     }
     if new.probe_overhead.factor > new.probe_overhead.bound {
         cmp.regressions.push(format!(
@@ -1176,7 +1116,7 @@ mod tests {
         assert_eq!(report.schema_version, SCHEMA_VERSION);
         assert_eq!(report.workloads.len(), 3);
         for w in &report.workloads {
-            assert_eq!(w.algorithms.len(), ALG_NAMES.len());
+            assert_eq!(w.algorithms.len(), registry::names().len());
             assert!(w.lower_bound > 0);
             for a in &w.algorithms {
                 assert!(
@@ -1241,7 +1181,7 @@ mod tests {
         // Determinism across runs and commits: every deterministic column
         // equals the committed golden exactly.
         check_answers_golden(&report);
-        // The asserted probe bound (satellite of the probe_overhead bench).
+        // The asserted probe bound.
         assert!(
             report.probe_overhead.within_bound,
             "NoProbe overhead {:.2}x exceeds {:.2}x",
@@ -1271,54 +1211,29 @@ mod tests {
     /// `<scope> <column> <value>` line per deterministic column.
     const ANSWERS_GOLDEN: &str = include_str!("../golden/quick_answers.txt");
 
-    /// Every deterministic column of `report` as `(scope, column, value)`,
+    /// Every deterministic column of `report` as `("scope column", value)`,
     /// with scope `workload`, `workload/alg` or `service`. Floats print in
     /// Rust's shortest round-trip form, so equal strings mean equal bits.
-    fn answer_lines(report: &BaselineReport) -> Vec<(String, &'static str, String)> {
+    fn answer_lines(report: &BaselineReport) -> Vec<(String, String)> {
         let mut lines = Vec::new();
+        macro_rules! cols {
+            ($scope:expr, $row:expr, $($col:ident)*) => {$(
+                lines.push((format!("{} {}", $scope, stringify!($col)), format!("{:?}", $row.$col)));
+            )*};
+        }
         for w in &report.workloads {
-            let scope = w.workload.clone();
-            lines.push((scope.clone(), "jobs", w.jobs.to_string()));
-            lines.push((scope, "lower_bound", w.lower_bound.to_string()));
+            cols!(w.workload, w, jobs lower_bound);
             for a in &w.algorithms {
-                let scope = format!("{}/{}", w.workload, a.alg);
-                let mut col = |column, value: String| lines.push((scope.clone(), column, value));
-                col("cost", a.cost.to_string());
-                col("ratio", format!("{:?}", a.ratio));
-                col("placements", a.placements.to_string());
-                col("peak_open_by_type", format!("{:?}", a.peak_open_by_type));
-                col("total_scan_ops", a.total_scan_ops.to_string());
-                col(
-                    "ops_per_decision_p50",
-                    format!("{:?}", a.ops_per_decision_p50),
-                );
-                col(
-                    "ops_per_decision_p95",
-                    format!("{:?}", a.ops_per_decision_p95),
-                );
-                col(
-                    "ops_per_decision_p99",
-                    format!("{:?}", a.ops_per_decision_p99),
-                );
-                col("final_gap_ratio", format!("{:?}", a.final_gap_ratio));
-                col("max_gap_ratio", format!("{:?}", a.max_gap_ratio));
-                col("alerts_fired", a.alerts_fired.to_string());
-                col("displaced_jobs", a.displaced_jobs.to_string());
-                col(
-                    "recovery_cost_ratio",
-                    format!("{:?}", a.recovery_cost_ratio),
-                );
+                cols!(format!("{}/{}", w.workload, a.alg), a, cost ratio placements
+                    peak_open_by_type total_scan_ops ops_per_decision_p50 ops_per_decision_p95
+                    ops_per_decision_p99 final_gap_ratio max_gap_ratio alerts_fired
+                    displaced_jobs recovery_cost_ratio);
             }
         }
         let s = &report.service;
-        let mut col = |column, value: String| lines.push(("service".to_string(), column, value));
-        col("crash_recovery_passed", s.crash_recovery_passed.to_string());
-        col("overload_passed", s.overload_passed.to_string());
-        col("restore_ok", s.restore_ok.to_string());
-        col("overloads", s.overloads.to_string());
-        col("sheds", s.sheds.to_string());
-        col("final_rung", s.final_rung.to_string());
-        col("rung_name", s.rung_name.clone());
+        cols!("service", s, crash_recovery_passed overload_passed restore_ok overloads sheds
+            final_rung);
+        lines.push(("service rung_name".to_string(), s.rung_name.clone()));
         lines
     }
 
@@ -1332,36 +1247,35 @@ mod tests {
             let mut text = String::from(
                 "# Deterministic columns of `baseline run --quick`; see check_answers_golden.\n",
             );
-            for (scope, column, value) in &actual {
-                text.push_str(&format!("{scope} {column} {value}\n"));
+            for (key, value) in &actual {
+                text.push_str(&format!("{key} {value}\n"));
             }
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/quick_answers.txt");
             std::fs::write(path, text).unwrap();
             return;
         }
-        let mut golden = std::collections::BTreeMap::new();
-        for line in ANSWERS_GOLDEN.lines().filter(|l| !l.starts_with('#')) {
-            let mut parts = line.splitn(3, ' ');
-            let (Some(scope), Some(column), Some(value)) =
-                (parts.next(), parts.next(), parts.next())
-            else {
-                panic!("malformed golden line {line:?}");
-            };
-            golden.insert((scope.to_string(), column.to_string()), value.to_string());
-        }
+        let mut golden: std::collections::BTreeMap<String, String> = ANSWERS_GOLDEN
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|line| {
+                let mut parts = line.splitn(3, ' ');
+                let key = format!("{} {}", parts.next().unwrap(), parts.next().unwrap());
+                (key, parts.next().unwrap().to_string())
+            })
+            .collect();
         let mut diffs = Vec::new();
-        for (scope, column, value) in &actual {
-            match golden.remove(&(scope.clone(), (*column).to_string())) {
+        for (key, value) in &actual {
+            match golden.remove(key) {
                 Some(want) if want == *value => {}
-                Some(want) => diffs.push(format!("{scope} {column}: golden {want}, got {value}")),
-                None => diffs.push(format!("{scope} {column}: {value} is not in the golden")),
+                Some(want) => diffs.push(format!("{key}: golden {want}, got {value}")),
+                None => diffs.push(format!("{key}: {value} is not in the golden")),
             }
         }
-        for ((scope, column), want) in golden {
-            diffs.push(format!(
-                "{scope} {column}: golden {want}, missing from the run"
-            ));
-        }
+        diffs.extend(
+            golden
+                .into_iter()
+                .map(|(key, want)| format!("{key}: golden {want}, missing from the run")),
+        );
         assert!(
             diffs.is_empty(),
             "quick suite answers differ from golden/quick_answers.txt:\n{}",

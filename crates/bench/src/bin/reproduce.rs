@@ -154,7 +154,7 @@ by the attribution-exactness invariant, recorded independently as a
 cross-check) and `max_gap_ratio` (the worst instantaneous
 cost-over-bound ratio across all gap samples in the run).
 Schema v4 added four decision x-ray columns from a separate run under
-the x-ray driver (`bshm xray` / `run_alg_xray`, so decision-latency
+the x-ray driver (`bshm xray` / `registry::run_xray`, so decision-latency
 columns are never inflated by the extra bookkeeping):
 `ops_per_decision_p50/p95/p99` (histogram-estimated operations —
 machines scanned + capacity comparisons — per placement decision) and

@@ -6,54 +6,63 @@ use crate::algs::Alg;
 use crate::runner::{max, mean};
 use crate::table::{fmt_ratio, Table};
 use bshm_chart::placement::PlacementOrder;
+use bshm_core::machine::Catalog;
 use bshm_workload::catalogs::dec_geometric;
 use bshm_workload::{ArrivalProcess, DurationLaw, WorkloadSpec};
 
 const SEEDS: [u64; 3] = [5, 6, 7];
 const MUS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
+/// The two seeded families of one (μ, seed) point, shared with F2.
+pub(super) fn poisson_and_pin(catalog: &Catalog, mu: u64, seed: u64) -> [Cell; 2] {
+    let family = |name: &str, n, arrivals, durations| {
+        let inst = WorkloadSpec {
+            n,
+            seed,
+            arrivals,
+            durations,
+            sizes: vm_sizes(catalog.max_capacity()),
+        }
+        .generate(catalog.clone());
+        cell(
+            vec![name.to_string(), mu.to_string(), seed.to_string()],
+            inst,
+        )
+    };
+    [
+        // Steady-state family: Poisson arrivals, uniform durations.
+        family(
+            "poisson",
+            500,
+            ArrivalProcess::Poisson { mean_gap: 3.0 },
+            DurationLaw::Uniform {
+                min: 10,
+                max: 10 * mu,
+            },
+        ),
+        // Straggler-pinning family (the lower-bound construction of ref
+        // [11]): a batch packs densely, then most jobs depart quickly while
+        // a few stragglers pin every machine busy for μ× longer. This is
+        // where O(μ) growth actually shows.
+        family(
+            "pin",
+            (200 + 20 * mu as usize).min(1_500),
+            ArrivalProcess::Batch,
+            DurationLaw::Bimodal {
+                short: 10,
+                long: 10 * mu,
+                p_long: 0.02,
+            },
+        ),
+    ]
+}
+
 fn grid() -> Vec<Cell> {
     let catalog = dec_geometric(4, 4);
     let mut cells = Vec::new();
     for &mu in &MUS {
         for &seed in &SEEDS {
-            // Steady-state family: Poisson arrivals, uniform durations.
-            let inst = WorkloadSpec {
-                n: 500,
-                seed,
-                arrivals: ArrivalProcess::Poisson { mean_gap: 3.0 },
-                durations: DurationLaw::Uniform {
-                    min: 10,
-                    max: 10 * mu,
-                },
-                sizes: vm_sizes(catalog.max_capacity()),
-            }
-            .generate(catalog.clone());
-            cells.push(cell(
-                vec!["poisson".to_string(), mu.to_string(), seed.to_string()],
-                inst,
-            ));
-            // Straggler-pinning family (the lower-bound construction of
-            // ref [11]): a batch packs densely, then most jobs depart
-            // quickly while a few stragglers pin every machine busy for
-            // μ× longer. This is where O(μ) growth actually shows.
-            let n = (200 + 20 * mu as usize).min(1_500);
-            let inst = WorkloadSpec {
-                n,
-                seed,
-                arrivals: ArrivalProcess::Batch,
-                durations: DurationLaw::Bimodal {
-                    short: 10,
-                    long: 10 * mu,
-                    p_long: 0.02,
-                },
-                sizes: vm_sizes(catalog.max_capacity()),
-            }
-            .generate(catalog.clone());
-            cells.push(cell(
-                vec!["pin".to_string(), mu.to_string(), seed.to_string()],
-                inst,
-            ));
+            cells.extend(poisson_and_pin(&catalog, mu, seed));
         }
         // Deterministic decaying staircase: waves of unit jobs whose
         // lifetimes double per wave (μ = 2^{waves−1}); punishes early bulk

@@ -1,13 +1,13 @@
 //! F2 — INC-ONLINE competitive ratio as a function of μ (validates the
 //! §IV `(9/4)μ + 27/4` bound).
 
-use super::{cell, eval_cells, group_ratios, vm_sizes, Cell};
+use super::f1_dec_online_mu::poisson_and_pin;
+use super::{eval_cells, group_ratios, Cell};
 use crate::algs::Alg;
 use crate::runner::{max, mean};
 use crate::table::{fmt_ratio, Table};
 use bshm_chart::placement::PlacementOrder;
 use bshm_workload::catalogs::inc_geometric;
-use bshm_workload::{ArrivalProcess, DurationLaw, WorkloadSpec};
 
 const SEEDS: [u64; 3] = [15, 16, 17];
 const MUS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -17,39 +17,7 @@ fn grid() -> Vec<Cell> {
     let mut cells = Vec::new();
     for &mu in &MUS {
         for &seed in &SEEDS {
-            let inst = WorkloadSpec {
-                n: 500,
-                seed,
-                arrivals: ArrivalProcess::Poisson { mean_gap: 3.0 },
-                durations: DurationLaw::Uniform {
-                    min: 10,
-                    max: 10 * mu,
-                },
-                sizes: vm_sizes(catalog.max_capacity()),
-            }
-            .generate(catalog.clone());
-            cells.push(cell(
-                vec!["poisson".to_string(), mu.to_string(), seed.to_string()],
-                inst,
-            ));
-            // Straggler-pinning family (see F1).
-            let n = (200 + 20 * mu as usize).min(1_500);
-            let inst = WorkloadSpec {
-                n,
-                seed,
-                arrivals: ArrivalProcess::Batch,
-                durations: DurationLaw::Bimodal {
-                    short: 10,
-                    long: 10 * mu,
-                    p_long: 0.02,
-                },
-                sizes: vm_sizes(catalog.max_capacity()),
-            }
-            .generate(catalog.clone());
-            cells.push(cell(
-                vec!["pin".to_string(), mu.to_string(), seed.to_string()],
-                inst,
-            ));
+            cells.extend(poisson_and_pin(&catalog, mu, seed));
         }
     }
     cells

@@ -10,15 +10,30 @@ use crate::algs::Alg;
 use crate::runner::{max, mean};
 use crate::table::{fmt_ratio, Table};
 use bshm_chart::placement::PlacementOrder;
+use bshm_core::machine::Catalog;
 use bshm_workload::catalogs::{dec_geometric, ec2_like_dec};
 use bshm_workload::{ArrivalProcess, DurationLaw, SizeLaw, WorkloadSpec};
 
-const SEEDS: [u64; 3] = [101, 202, 303];
+/// One offline-ratio table: T1 on DEC catalogs, T2 on INC catalogs.
+pub(super) struct RatioTable {
+    pub(super) id: &'static str,
+    pub(super) title: &'static str,
+    pub(super) claim: &'static str,
+    pub(super) alg: Alg,
+    /// The geometric catalog family, `(m, base capacity)`.
+    pub(super) geometric: fn(usize, u64) -> Catalog,
+    /// The EC2-flavoured catalog (non-power-of-2 rates: exercises
+    /// normalization) and its label.
+    pub(super) ec2: (Catalog, &'static str),
+    pub(super) seeds: [u64; 3],
+    /// The proven bound against the lower bound.
+    pub(super) bound: u32,
+}
 
-fn grid() -> Vec<Cell> {
+fn grid(spec: &RatioTable) -> Vec<Cell> {
     let mut cells = Vec::new();
     for &m in &[2usize, 4, 6] {
-        let catalog = dec_geometric(m, 4);
+        let catalog = (spec.geometric)(m, 4);
         let max_size = catalog.max_capacity();
         for &(mu_label, dur) in &[
             ("4", DurationLaw::Uniform { min: 20, max: 80 }),
@@ -35,7 +50,7 @@ fn grid() -> Vec<Cell> {
                     },
                 ),
             ] {
-                for &seed in &SEEDS {
+                for &seed in &spec.seeds {
                     let inst = WorkloadSpec {
                         n: 400,
                         seed,
@@ -57,9 +72,8 @@ fn grid() -> Vec<Cell> {
             }
         }
     }
-    // EC2-flavoured catalog (non-power-of-2 rates: exercises normalization).
-    let catalog = ec2_like_dec();
-    for &seed in &SEEDS {
+    let (catalog, label) = &spec.ec2;
+    for &seed in &spec.seeds {
         let inst = WorkloadSpec {
             n: 400,
             seed,
@@ -71,7 +85,7 @@ fn grid() -> Vec<Cell> {
         cells.push(cell(
             vec![
                 "vm-mix".to_string(),
-                "ec2-dec".to_string(),
+                (*label).to_string(),
                 "6".to_string(),
                 seed.to_string(),
             ],
@@ -81,15 +95,14 @@ fn grid() -> Vec<Cell> {
     cells
 }
 
-/// Runs T1.
-#[must_use]
-pub fn run() -> Table {
-    let algs = [Alg::DecOffline(PlacementOrder::Arrival)];
-    let results = eval_cells(grid(), &algs);
+/// Runs the grid of `spec` and tabulates mean and max ratio per group.
+pub(super) fn ratio_table(spec: &RatioTable) -> Table {
+    let algs = [spec.alg];
+    let results = eval_cells(grid(spec), &algs);
     let mut table = Table::new(
-        "T1",
-        "DEC-OFFLINE cost / lower-bound ratio",
-        "Theorem 1: DEC-OFFLINE is a 14-approximation (28× vs the LB after rate rounding)",
+        spec.id,
+        spec.title,
+        spec.claim,
         vec!["sizes", "catalog", "mu", "mean ratio", "max ratio", "bound"],
     );
     let mut worst = 0f64;
@@ -102,13 +115,28 @@ pub fn run() -> Table {
             key[2].clone(),
             fmt_ratio(mean(r)),
             fmt_ratio(max(r)),
-            "28".to_string(),
+            spec.bound.to_string(),
         ]);
     }
     table.note(format!(
         "worst observed ratio {} — bound holds: {}",
         fmt_ratio(worst),
-        worst <= 28.0
+        worst <= f64::from(spec.bound)
     ));
     table
+}
+
+/// Runs T1.
+#[must_use]
+pub fn run() -> Table {
+    ratio_table(&RatioTable {
+        id: "T1",
+        title: "DEC-OFFLINE cost / lower-bound ratio",
+        claim: "Theorem 1: DEC-OFFLINE is a 14-approximation (28× vs the LB after rate rounding)",
+        alg: Alg::DecOffline(PlacementOrder::Arrival),
+        geometric: dec_geometric,
+        ec2: (ec2_like_dec(), "ec2-dec"),
+        seeds: [101, 202, 303],
+        bound: 28,
+    })
 }

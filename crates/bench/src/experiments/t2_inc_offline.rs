@@ -1,108 +1,25 @@
 //! T2 — INC-OFFLINE approximation ratios (validates the §IV 9-approximation).
+//!
+//! The T1 grid (workload family × number of types × μ × seeds) on INC
+//! catalogs.
 
-use super::{cell, eval_cells, group_ratios, vm_sizes, Cell};
+use super::t1_dec_offline::{ratio_table, RatioTable};
 use crate::algs::Alg;
-use crate::runner::{max, mean};
-use crate::table::{fmt_ratio, Table};
+use crate::table::Table;
 use bshm_chart::placement::PlacementOrder;
 use bshm_workload::catalogs::{ec2_like_inc, inc_geometric};
-use bshm_workload::{ArrivalProcess, DurationLaw, SizeLaw, WorkloadSpec};
-
-const SEEDS: [u64; 3] = [111, 222, 333];
-
-fn grid() -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for &m in &[2usize, 4, 6] {
-        let catalog = inc_geometric(m, 4);
-        let max_size = catalog.max_capacity();
-        for &(mu_label, dur) in &[
-            ("4", DurationLaw::Uniform { min: 20, max: 80 }),
-            ("16", DurationLaw::Uniform { min: 5, max: 80 }),
-        ] {
-            for (fam, sizes) in [
-                ("vm-mix", vm_sizes(max_size)),
-                (
-                    "heavy-tail",
-                    SizeLaw::HeavyTail {
-                        min: 1,
-                        max: max_size,
-                        alpha: 1.3,
-                    },
-                ),
-            ] {
-                for &seed in &SEEDS {
-                    let inst = WorkloadSpec {
-                        n: 400,
-                        seed,
-                        arrivals: ArrivalProcess::Poisson { mean_gap: 3.0 },
-                        durations: dur,
-                        sizes: sizes.clone(),
-                    }
-                    .generate(catalog.clone());
-                    cells.push(cell(
-                        vec![
-                            fam.to_string(),
-                            format!("geo-m{m}"),
-                            mu_label.to_string(),
-                            seed.to_string(),
-                        ],
-                        inst,
-                    ));
-                }
-            }
-        }
-    }
-    let catalog = ec2_like_inc();
-    for &seed in &SEEDS {
-        let inst = WorkloadSpec {
-            n: 400,
-            seed,
-            arrivals: ArrivalProcess::Poisson { mean_gap: 3.0 },
-            durations: DurationLaw::Uniform { min: 10, max: 60 },
-            sizes: vm_sizes(catalog.max_capacity()),
-        }
-        .generate(catalog.clone());
-        cells.push(cell(
-            vec![
-                "vm-mix".to_string(),
-                "ec2-inc".to_string(),
-                "6".to_string(),
-                seed.to_string(),
-            ],
-            inst,
-        ));
-    }
-    cells
-}
 
 /// Runs T2.
 #[must_use]
 pub fn run() -> Table {
-    let algs = [Alg::IncOffline(PlacementOrder::Arrival)];
-    let results = eval_cells(grid(), &algs);
-    let mut table = Table::new(
-        "T2",
-        "INC-OFFLINE cost / lower-bound ratio",
-        "§IV: INC-OFFLINE is a 9-approximation for BSHM-INC",
-        vec!["sizes", "catalog", "mu", "mean ratio", "max ratio", "bound"],
-    );
-    let mut worst = 0f64;
-    for (key, ratios) in group_ratios(&results, 1, algs.len()) {
-        let r = &ratios[0];
-        worst = worst.max(max(r));
-        table.push_row(vec![
-            key[0].clone(),
-            key[1].clone(),
-            key[2].clone(),
-            fmt_ratio(mean(r)),
-            fmt_ratio(max(r)),
-            "9".to_string(),
-        ]);
-    }
-    table.note(format!(
-        "worst observed ratio {} — bound holds: {}",
-        fmt_ratio(worst),
-        worst <= 9.0
-    ));
-    table
+    ratio_table(&RatioTable {
+        id: "T2",
+        title: "INC-OFFLINE cost / lower-bound ratio",
+        claim: "§IV: INC-OFFLINE is a 9-approximation for BSHM-INC",
+        alg: Alg::IncOffline(PlacementOrder::Arrival),
+        geometric: inc_geometric,
+        ec2: (ec2_like_inc(), "ec2-inc"),
+        seeds: [111, 222, 333],
+        bound: 9,
+    })
 }

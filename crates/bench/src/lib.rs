@@ -4,8 +4,9 @@
 //! Tang, IPDPS 2020) is theory-only, so the "tables and figures" here are
 //! the empirical validation suite defined in DESIGN.md §6: every theorem
 //! and conjecture gets an experiment whose table or series the
-//! [`reproduce`](../reproduce/index.html) binary regenerates, plus
-//! Criterion performance benches under `benches/`.
+//! [`reproduce`](../reproduce/index.html) binary regenerates. The
+//! [`baseline`] observatory pins the deterministic answers of every
+//! registered algorithm; wall-clock performance lives in `perfbench/`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

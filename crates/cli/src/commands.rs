@@ -2,22 +2,24 @@
 
 use crate::args::Flags;
 use crate::spec;
-use bshm_algos::baseline::{BestFit, FirstFitAny, OneMachinePerJob, SingleType};
+use bshm_algos::registry;
 use bshm_chart::placement::PlacementOrder;
 use bshm_core::analysis::{machine_timeline, schedule_stats, timeline_csv};
 use bshm_core::instance::Instance;
 use bshm_core::lower_bound::{lower_bound, lp_lower_bound};
-use bshm_core::ops::{DecisionLog, OpCounter, RejectReason};
+use bshm_core::ops::{OpCounter, RejectReason};
 use bshm_core::schedule::Schedule;
 use bshm_core::validate::validate_schedule;
 use bshm_core::{schedule_cost, Cost};
-use bshm_faults::{FaultOutcome, FaultPlan, ScriptScheduler};
+use bshm_faults::{FaultOutcome, FaultPlan};
 use bshm_obs::{replay, NoProbe, Probe, Recorder};
-use bshm_sim::{
-    run_clairvoyant, run_clairvoyant_logged, run_online_probed, run_online_xray, OnlineScheduler,
-};
+use bshm_sim::OnlineScheduler;
 use bshm_workload::WorkloadSpec;
 use std::io::Write;
+
+/// The registry's run functions under the names this crate has always
+/// exported them by.
+pub use registry::{online_or_scripted, run_traced as run_alg_traced, run_xray as run_alg_xray};
 
 type Out<'a> = &'a mut dyn Write;
 
@@ -152,22 +154,6 @@ SPEC GRAMMARS:
   recover:   same-type | first-fit | degrade
 ";
 
-/// All scheduler names `bshm solve --alg` accepts.
-pub const ALG_NAMES: [&str; 12] = [
-    "auto",
-    "dec-offline",
-    "inc-offline",
-    "gen-offline",
-    "part-ffd",
-    "dec-online",
-    "inc-online",
-    "gen-online",
-    "clairvoyant",
-    "first-fit-any",
-    "best-fit",
-    "single-type",
-];
-
 /// Dispatches a full argv (`["gen", "--n", "10", …]`).
 pub fn dispatch(argv: &[String], out: Out) -> Result<(), String> {
     let Some((cmd, rest)) = argv.split_first() else {
@@ -195,7 +181,7 @@ pub fn dispatch(argv: &[String], out: Out) -> Result<(), String> {
         "serve" => cmd_serve(&flags, out),
         "drill" => cmd_drill(&flags, out),
         "algs" => {
-            for a in ALG_NAMES {
+            for a in registry::names() {
                 let _ = writeln!(out, "{a}");
             }
             Ok(())
@@ -263,160 +249,6 @@ fn cmd_export_csv(flags: &Flags, out: Out) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a scheduler by name.
-pub fn run_alg(name: &str, instance: &Instance) -> Result<Schedule, String> {
-    run_alg_traced(name, instance, &mut NoProbe)
-}
-
-/// Runs a scheduler by name, reporting trace events into `probe`.
-///
-/// Online schedulers run under the probed driver, so placement decisions
-/// carry live wall-clock latencies. Offline schedulers (and the
-/// clairvoyant baseline) compute their schedule first; the canonical
-/// event stream is then synthesized from it with
-/// [`bshm_obs::replay::synthesize`] (`decision_ns` = 0).
-pub fn run_alg_traced(
-    name: &str,
-    instance: &Instance,
-    probe: &mut dyn Probe,
-) -> Result<Schedule, String> {
-    let order = PlacementOrder::Arrival;
-    let online = |s: &mut dyn bshm_sim::OnlineScheduler, probe: &mut dyn Probe| {
-        run_online_probed(instance, &mut &mut *s, probe).map_err(|e| e.to_string())
-    };
-    // Offline algorithms produce the schedule without intermediate events;
-    // trace them post-hoc so both families yield comparable streams.
-    let offline = |s: Schedule, probe: &mut dyn Probe| {
-        replay::synthesize(&s, instance, probe);
-        s
-    };
-    let catalog = instance.catalog();
-    let s = match name {
-        "auto" => offline(bshm_algos::auto_offline(instance, order), probe),
-        "dec-offline" => offline(bshm_algos::dec_offline(instance, order), probe),
-        "inc-offline" => offline(bshm_algos::inc_offline(instance, order), probe),
-        "gen-offline" => offline(bshm_algos::general_offline(instance, order), probe),
-        "part-ffd" => offline(bshm_algos::partitioned_ffd(instance), probe),
-        "dec-online" => online(&mut bshm_algos::DecOnline::new(catalog), probe)?,
-        "inc-online" => online(&mut bshm_algos::IncOnline::new(catalog), probe)?,
-        "gen-online" => online(&mut bshm_algos::GeneralOnline::new(catalog), probe)?,
-        "clairvoyant" => {
-            let base = instance.stats().min_duration;
-            let s = run_clairvoyant(instance, &mut bshm_algos::DurationClassFirstFit::new(base))
-                .map_err(|e| e.to_string())?;
-            offline(s, probe)
-        }
-        "first-fit-any" => online(&mut FirstFitAny::default(), probe)?,
-        "best-fit" => online(&mut BestFit::default(), probe)?,
-        "single-type" => online(&mut SingleType::largest(), probe)?,
-        "one-per-job" => online(&mut OneMachinePerJob, probe)?,
-        other => return Err(format!("unknown algorithm {other:?}; see `bshm algs`")),
-    };
-    Ok(s)
-}
-
-/// Runs a scheduler by name under the decision x-ray: every placement
-/// decision is narrated into `probe` as a [`bshm_obs::TraceEvent::Decision`]
-/// (candidate machines examined, typed rejections, the winner and how it
-/// was chosen) alongside the regular event stream. Returns the schedule
-/// plus the run's deterministic operation-count totals.
-///
-/// Online schedulers run under [`bshm_sim::run_online_xray`]; offline
-/// solvers (and the clairvoyant baseline) record per-job op traces into a
-/// [`DecisionLog`] while solving, which
-/// [`bshm_obs::replay::synthesize_xray`] then interleaves into the
-/// synthesized stream. Two runs over the same instance produce identical
-/// counts — the ops are control-flow facts, not timings.
-pub fn run_alg_xray(
-    name: &str,
-    instance: &Instance,
-    probe: &mut dyn Probe,
-) -> Result<(Schedule, OpCounter), String> {
-    let order = PlacementOrder::Arrival;
-    let online = |s: &mut dyn bshm_sim::OnlineScheduler, probe: &mut dyn Probe| {
-        run_online_xray(instance, &mut &mut *s, probe).map_err(|e| e.to_string())
-    };
-    // Offline solvers fill the log first; totals are folded before
-    // synthesis because synthesize_xray drains the per-job traces.
-    let offline = |s: Schedule, mut log: DecisionLog, probe: &mut dyn Probe| {
-        let totals = log.totals();
-        replay::synthesize_xray(&s, instance, &mut log, probe);
-        (s, totals)
-    };
-    let catalog = instance.catalog();
-    let solved = |solve: &dyn Fn(&mut DecisionLog) -> Schedule, probe: &mut dyn Probe| {
-        let mut log = DecisionLog::new();
-        let s = solve(&mut log);
-        offline(s, log, probe)
-    };
-    let r = match name {
-        "auto" => solved(
-            &|log| bshm_algos::auto_offline_logged(instance, order, log),
-            probe,
-        ),
-        "dec-offline" => solved(
-            &|log| bshm_algos::dec_offline_logged(instance, order, log),
-            probe,
-        ),
-        "inc-offline" => solved(
-            &|log| bshm_algos::inc_offline_logged(instance, order, log),
-            probe,
-        ),
-        "gen-offline" => solved(
-            &|log| bshm_algos::general_offline_logged(instance, order, log),
-            probe,
-        ),
-        "part-ffd" => solved(
-            &|log| bshm_algos::partitioned_ffd_logged(instance, log),
-            probe,
-        ),
-        "dec-online" => online(&mut bshm_algos::DecOnline::new(catalog), probe)?,
-        "inc-online" => online(&mut bshm_algos::IncOnline::new(catalog), probe)?,
-        "gen-online" => online(&mut bshm_algos::GeneralOnline::new(catalog), probe)?,
-        "clairvoyant" => {
-            let base = instance.stats().min_duration;
-            let mut log = DecisionLog::new();
-            let s = run_clairvoyant_logged(
-                instance,
-                &mut bshm_algos::DurationClassFirstFit::new(base),
-                &mut log,
-            )
-            .map_err(|e| e.to_string())?;
-            offline(s, log, probe)
-        }
-        "first-fit-any" => online(&mut FirstFitAny::default(), probe)?,
-        "best-fit" => online(&mut BestFit::default(), probe)?,
-        "single-type" => online(&mut SingleType::largest(), probe)?,
-        "one-per-job" => online(&mut OneMachinePerJob, probe)?,
-        other => return Err(format!("unknown algorithm {other:?}; see `bshm algs`")),
-    };
-    Ok(r)
-}
-
-/// Builds a boxed online scheduler for `name`, so any registered
-/// algorithm can run under the faulted driver.
-///
-/// Truly online schedulers are constructed directly. Offline algorithms
-/// (and the clairvoyant baseline) compute their schedule first; a
-/// [`ScriptScheduler`] then replays it through the online driver, where
-/// crashes and injected jobs can disturb it.
-pub fn online_or_scripted(
-    name: &str,
-    instance: &Instance,
-) -> Result<Box<dyn OnlineScheduler>, String> {
-    let catalog = instance.catalog();
-    Ok(match name {
-        "dec-online" => Box::new(bshm_algos::DecOnline::new(catalog)),
-        "inc-online" => Box::new(bshm_algos::IncOnline::new(catalog)),
-        "gen-online" => Box::new(bshm_algos::GeneralOnline::new(catalog)),
-        "first-fit-any" => Box::new(FirstFitAny::default()),
-        "best-fit" => Box::new(BestFit::default()),
-        "single-type" => Box::new(SingleType::largest()),
-        "one-per-job" => Box::new(OneMachinePerJob),
-        offline => Box::new(ScriptScheduler::new(&run_alg(offline, instance)?)),
-    })
-}
-
 /// Parses a `--metrics-format`/`--format` value.
 fn parse_metrics_format(value: Option<&str>, flag: &str) -> Result<MetricsFormat, String> {
     match value {
@@ -434,6 +266,42 @@ enum MetricsFormat {
     Prometheus,
 }
 
+/// The recorder a `solve` run streams into, writing `--trace` when given.
+fn recorder(alg: &str, instance: &Instance, trace_path: Option<&str>) -> Result<Recorder, String> {
+    let rec = Recorder::new(alg, instance.catalog().len());
+    match trace_path {
+        Some(p) => rec.with_file(p).map_err(|e| format!("creating {p}: {e}")),
+        None => Ok(rec),
+    }
+}
+
+/// Reports a finished recorder: the trace's event count, and the metrics
+/// in `metrics` format when `--metrics` asked for them.
+fn report_recorder(
+    out: Out,
+    rec: Recorder,
+    trace_path: Option<&str>,
+    metrics: Option<MetricsFormat>,
+) -> Result<(), String> {
+    let written = rec.events_written();
+    let m = rec.into_metrics()?;
+    if let Some(p) = trace_path {
+        let _ = writeln!(out, "wrote {written} trace events to {p}");
+    }
+    match metrics {
+        Some(MetricsFormat::Prometheus) => {
+            let _ = write!(out, "{}", bshm_obs::encode_prometheus(&m, &[]));
+        }
+        Some(MetricsFormat::Json) => {
+            let _ = write!(out, "{}", m.summary());
+            let json = serde_json::to_string_pretty(&m).expect("metrics serialize");
+            let _ = writeln!(out, "{json}");
+        }
+        None => {}
+    }
+    Ok(())
+}
+
 fn cmd_solve(flags: &Flags, out: Out) -> Result<(), String> {
     let instance = load_instance(flags)?;
     let alg = flags.get("alg").unwrap_or("auto");
@@ -445,10 +313,7 @@ fn cmd_solve(flags: &Flags, out: Out) -> Result<(), String> {
     let want_metrics = flags.has("metrics") || flags.get("metrics-format").is_some();
     let want_gap = flags.has("gap");
     let schedule = if trace_path.is_some() || want_metrics || want_gap {
-        let mut rec = Recorder::new(alg, instance.catalog().len());
-        if let Some(p) = trace_path {
-            rec = rec.with_file(p).map_err(|e| format!("creating {p}: {e}"))?;
-        }
+        let mut rec = recorder(alg, &instance, trace_path)?;
         // --gap wraps the recorder in a GapProbe: the trace and metrics
         // then carry one GapSample per distinct timestamp.
         let (schedule, gap_timeline, rec) = if want_gap {
@@ -463,23 +328,7 @@ fn cmd_solve(flags: &Flags, out: Out) -> Result<(), String> {
             let schedule = run_alg_traced(alg, &instance, &mut rec)?;
             (schedule, None, rec)
         };
-        let written = rec.events_written();
-        let metrics = rec.into_metrics()?;
-        if let Some(p) = trace_path {
-            let _ = writeln!(out, "wrote {written} trace events to {p}");
-        }
-        if want_metrics {
-            match format {
-                MetricsFormat::Prometheus => {
-                    let _ = write!(out, "{}", bshm_obs::encode_prometheus(&metrics, &[]));
-                }
-                MetricsFormat::Json => {
-                    let _ = write!(out, "{}", metrics.summary());
-                    let json = serde_json::to_string_pretty(&metrics).expect("metrics serialize");
-                    let _ = writeln!(out, "{json}");
-                }
-            }
-        }
+        report_recorder(out, rec, trace_path, want_metrics.then_some(format))?;
         if let Some(tl) = &gap_timeline {
             if !(want_metrics && format == MetricsFormat::Prometheus) {
                 match (tl.final_point(), tl.final_ratio()) {
@@ -503,7 +352,7 @@ fn cmd_solve(flags: &Flags, out: Out) -> Result<(), String> {
         }
         schedule
     } else {
-        run_alg(alg, &instance)?
+        run_alg_traced(alg, &instance, &mut NoProbe)?
     };
     validate_schedule(&schedule, &instance).map_err(|e| format!("BUG: {alg} infeasible: {e}"))?;
     let cost: Cost = schedule_cost(&schedule, &instance);
@@ -571,28 +420,9 @@ fn cmd_solve_faulted(
             .map_err(|e| e.to_string())
     };
     let outcome = if trace_path.is_some() || want_metrics {
-        let mut rec = Recorder::new(alg, instance.catalog().len());
-        if let Some(p) = trace_path {
-            rec = rec.with_file(p).map_err(|e| format!("creating {p}: {e}"))?;
-        }
+        let mut rec = recorder(alg, instance, trace_path)?;
         let outcome = run(&mut rec, &mut *scheduler, &mut *policy)?;
-        let written = rec.events_written();
-        let metrics = rec.into_metrics()?;
-        if let Some(p) = trace_path {
-            let _ = writeln!(out, "wrote {written} trace events to {p}");
-        }
-        if want_metrics {
-            match format {
-                MetricsFormat::Prometheus => {
-                    let _ = write!(out, "{}", bshm_obs::encode_prometheus(&metrics, &[]));
-                }
-                MetricsFormat::Json => {
-                    let _ = write!(out, "{}", metrics.summary());
-                    let json = serde_json::to_string_pretty(&metrics).expect("metrics serialize");
-                    let _ = writeln!(out, "{json}");
-                }
-            }
-        }
+        report_recorder(out, rec, trace_path, want_metrics.then_some(format))?;
         outcome
     } else {
         run(&mut NoProbe, &mut *scheduler, &mut *policy)?
@@ -1969,13 +1799,6 @@ fn cmd_render(flags: &Flags, out: Out) -> Result<(), String> {
     Ok(())
 }
 
-/// The scheduler factory handed to the resident service: the full cli
-/// registry, so offline algorithms serve through [`ScriptScheduler`] just
-/// like `solve --faults` runs them.
-fn service_factory() -> bshm_serve::SchedulerFactory {
-    Box::new(online_or_scripted)
-}
-
 fn service_config(flags: &Flags, data_dir: &str) -> Result<bshm_serve::ServiceConfig, String> {
     let mut config = bshm_serve::ServiceConfig::new(data_dir);
     config.queue_capacity = flags.get_or("queue-capacity", config.queue_capacity)?;
@@ -1990,7 +1813,7 @@ fn service_config(flags: &Flags, data_dir: &str) -> Result<bshm_serve::ServiceCo
 fn cmd_serve(flags: &Flags, out: Out) -> Result<(), String> {
     let data_dir = flags.require("data-dir")?;
     let config = service_config(flags, data_dir)?;
-    let mut service = bshm_serve::Service::new(config, service_factory())?;
+    let mut service = bshm_serve::Service::new(config, bshm_serve::builtin_factory())?;
     match (flags.get("script"), flags.get("socket")) {
         (Some(script), None) => {
             // Deterministic one-shot mode: replay a request script and
@@ -2111,7 +1934,7 @@ mod tests {
              --durations uniform:10:30 --sizes pareto:1:100:1.3 --out {inst}"
         ));
         assert_eq!(code, 0);
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let (code, out) = run_cmd(&format!("solve --instance {inst} --alg {alg}"));
             assert_eq!(code, 0, "alg {alg}: {out}");
         }
@@ -2216,7 +2039,7 @@ mod tests {
         assert_eq!(code, 0);
         let instance: Instance =
             serde_json::from_str(&std::fs::read_to_string(&inst).unwrap()).unwrap();
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let mut collector = bshm_obs::Collector::default();
             let schedule = run_alg_traced(alg, &instance, &mut collector).unwrap();
             let traced: u64 = collector
@@ -2256,7 +2079,7 @@ mod tests {
         assert_eq!(code, 0);
         let instance: Instance =
             serde_json::from_str(&std::fs::read_to_string(&inst).unwrap()).unwrap();
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let mut c1 = bshm_obs::Collector::default();
             let mut c2 = bshm_obs::Collector::default();
             let (s1, t1) = run_alg_xray(alg, &instance, &mut c1).unwrap();
@@ -2280,7 +2103,7 @@ mod tests {
             );
             assert_eq!(
                 s1,
-                run_alg(alg, &instance).unwrap(),
+                run_alg_traced(alg, &instance, &mut NoProbe).unwrap(),
                 "alg {alg}: x-ray perturbed the schedule"
             );
             let placements: Vec<(u32, u32)> = c1
@@ -2820,7 +2643,7 @@ mod tests {
             }
             fnv1a64(text.as_bytes())
         };
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let run = |instance: &Instance| -> Vec<bshm_obs::TraceEvent> {
                 let mut scheduler = online_or_scripted(alg, instance).unwrap();
                 let mut probe = bshm_obs::Deterministic(bshm_obs::Collector::default());

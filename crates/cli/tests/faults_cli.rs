@@ -6,7 +6,8 @@
 //! identical schedule, identical cost. Plus end-to-end coverage of
 //! `solve --faults`, `crash-test` and `replay --salvage`.
 
-use bshm_cli::commands::{online_or_scripted, ALG_NAMES};
+use bshm_algos::registry;
+use bshm_cli::commands::online_or_scripted;
 use bshm_core::instance::Instance;
 use bshm_core::schedule_cost;
 use bshm_faults::{run_online_faulted, FaultPlan, SameType};
@@ -52,7 +53,7 @@ fn jsonl(events: &[bshm_obs::TraceEvent]) -> Vec<String> {
 #[test]
 fn empty_fault_plan_is_byte_identical_for_every_algorithm() {
     let (_, instance) = gen_instance("inst-equiv.json", 45, 17);
-    for alg in ALG_NAMES {
+    for alg in registry::names() {
         // Fault-free reference through the plain driver.
         let mut base_probe = Deterministic(Collector::default());
         let mut base_sched = online_or_scripted(alg, &instance).unwrap();

@@ -12,7 +12,8 @@
 //!   [`bshm_core::lower_bound`] of the observed prefix after *every*
 //!   arrival/departure, and with the whole-instance bound at the horizon.
 
-use bshm_cli::commands::{run_alg_traced, ALG_NAMES};
+use bshm_algos::registry;
+use bshm_cli::commands::run_alg_traced;
 use bshm_core::instance::Instance;
 use bshm_core::job::Job;
 use bshm_core::lower_bound::lower_bound;
@@ -46,7 +47,7 @@ proptest! {
     #[test]
     fn attribution_sums_exactly_to_total_cost_for_every_alg(inst in arb_instance()) {
         let lb = lower_bound(&inst);
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let mut probe = GapProbe::new(inst.catalog(), bshm_obs::Collector::default());
             let schedule = run_alg_traced(alg, &inst, &mut probe).unwrap();
             prop_assert!(probe.error().is_none(), "alg {}: {:?}", alg, probe.error());
@@ -103,7 +104,7 @@ proptest! {
     /// identical to the gauges a live probe would have emitted.
     #[test]
     fn computed_timeline_matches_live_for_every_alg(inst in arb_instance()) {
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let mut plain = bshm_obs::Collector::default();
             run_alg_traced(alg, &inst, &mut plain).unwrap();
             prop_assert!(plain.events.iter().all(|e| !matches!(e, TraceEvent::GapSample { .. })));

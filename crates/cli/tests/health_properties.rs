@@ -14,7 +14,8 @@
 //!   byte-identical alert ledgers (the SLO engine reads only event-clock
 //!   and fixed-point quantities, never the wall clock).
 
-use bshm_cli::commands::{run_alg_traced, ALG_NAMES};
+use bshm_algos::registry;
+use bshm_cli::commands::run_alg_traced;
 use bshm_core::instance::Instance;
 use bshm_core::job::Job;
 use bshm_core::machine::{Catalog, MachineType};
@@ -48,7 +49,7 @@ proptest! {
         inst in arb_instance(),
         width in 1u64..=64,
     ) {
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let mut probe = GapProbe::new(inst.catalog(), Collector::default());
             run_alg_traced(alg, &inst, &mut probe).unwrap();
             let (collector, _) = probe.into_parts();
@@ -98,7 +99,7 @@ proptest! {
         // A hair-trigger gap rule: any window whose gap ratio exceeds
         // 1.001× files an alert, so most runs actually alert.
         let spec = SloSpec::parse("window:16;gap:1001:1;storm:1;drops:1").unwrap();
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let run = || {
                 let health = HealthProbe::new(spec.clone(), 2, Collector::default());
                 let mut probe = GapProbe::new(inst.catalog(), health);

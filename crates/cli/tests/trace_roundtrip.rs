@@ -3,7 +3,8 @@
 //! a JSONL serialize → parse → replay round trip and cross-checks against
 //! the schedule-derived machine timeline.
 
-use bshm_cli::commands::{run_alg_traced, ALG_NAMES};
+use bshm_algos::registry;
+use bshm_cli::commands::run_alg_traced;
 use bshm_core::analysis::machine_timeline;
 use bshm_core::instance::Instance;
 use bshm_core::job::Job;
@@ -36,7 +37,7 @@ proptest! {
 
     #[test]
     fn every_algorithm_trace_round_trips_through_jsonl(inst in arb_instance()) {
-        for alg in ALG_NAMES {
+        for alg in registry::names() {
             let mut collector = Collector::default();
             let schedule = run_alg_traced(alg, &inst, &mut collector).unwrap();
             prop_assert!(!collector.events.is_empty(), "alg {}: empty trace", alg);

@@ -27,6 +27,21 @@ pub fn event_grid(jobs: &[Job]) -> Vec<TimePoint> {
     grid
 }
 
+/// Every job's arrival and departure as `(t, is_arrival, job index)`, in
+/// the one event order every driver and replayer shares: by time,
+/// departures before arrivals at equal times (intervals are half-open, so
+/// a machine freed at `t` can host an arrival at `t`), then by job id.
+#[must_use]
+pub fn job_events(jobs: &[Job]) -> Vec<(TimePoint, bool, usize)> {
+    let mut events = Vec::with_capacity(jobs.len() * 2);
+    for (idx, j) in jobs.iter().enumerate() {
+        events.push((j.arrival, true, idx));
+        events.push((j.departure, false, idx));
+    }
+    events.sort_unstable_by_key(|&(t, is_arrival, idx)| (t, is_arrival, jobs[idx].id));
+    events
+}
+
 /// The segment index containing time `t`, for a grid from [`event_grid`].
 /// Returns `None` when `t` is outside `[grid[0], grid[last])`.
 #[must_use]
@@ -188,6 +203,15 @@ mod tests {
     fn grid_is_sorted_unique() {
         let g = event_grid(&jobs());
         assert_eq!(g, vec![0, 5, 8, 10, 12, 15]);
+    }
+
+    #[test]
+    fn job_events_put_departures_first_at_ties() {
+        let js = vec![Job::new(1, 4, 10, 20), Job::new(0, 4, 0, 10)];
+        assert_eq!(
+            job_events(&js),
+            vec![(0, true, 1), (10, false, 1), (10, true, 0), (20, false, 0)]
+        );
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //!   decision log plus input fingerprints, written torn-free; restoring
 //!   verifies every replayed decision and emits exactly the missing trace
 //!   suffix.
-//! * [`script`] — [`ScriptScheduler`] replays a finished offline schedule
-//!   through the online driver, so offline algorithms run under faults
-//!   too.
 //! * [`crash_test`](mod@crash_test) — the end-to-end harness: run, kill
 //!   at a checkpoint, salvage the torn trace, restore, verify.
+//!
+//! Offline algorithms run under faults too: [`bshm_sim::ScriptScheduler`]
+//! replays a finished schedule through the online driver.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -37,7 +37,6 @@ pub mod crash_test;
 pub mod plan;
 pub mod recovery;
 pub mod runner;
-pub mod script;
 
 pub use backoff::{Backoff, BackoffSchedule};
 pub use checkpoint::{Checkpoint, DecisionRecord};
@@ -51,4 +50,3 @@ pub use runner::{
     run_online_faulted, run_online_faulted_with, FaultError, FaultOutcome, FaultReport,
     PreparedRun, RunOptions,
 };
-pub use script::ScriptScheduler;

@@ -182,6 +182,11 @@ impl Probe for GatedProbe<'_> {
 }
 
 /// Internal event classes; the order at equal times is the contract.
+/// Crashes sit between departures and arrivals, which is why this driver
+/// keeps its own three-class key instead of
+/// [`bshm_core::sweep::job_events`]. On job events alone the key
+/// `(t, class, job id)` orders exactly as that helper does, so an empty
+/// plan replays the plain driver's stream event for event.
 const CLASS_DEPARTURE: u8 = 0;
 const CLASS_CRASH: u8 = 1;
 const CLASS_ARRIVAL: u8 = 2;

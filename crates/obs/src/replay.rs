@@ -10,8 +10,9 @@ use bshm_core::analysis::MachineTimeline;
 use bshm_core::instance::Instance;
 use bshm_core::job::JobId;
 use bshm_core::machine::TypeIndex;
-use bshm_core::ops::DecisionLog;
+use bshm_core::ops::{DecisionLog, OpProbe};
 use bshm_core::schedule::{MachineId, Schedule};
+use bshm_core::sweep::job_events;
 use bshm_core::time::TimePoint;
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufRead;
@@ -303,7 +304,7 @@ pub fn cross_check(replay: &ReplayedTimeline, reference: &MachineTimeline) -> Re
 ///
 /// Jobs the schedule leaves unassigned are skipped.
 pub fn synthesize<P: Probe + ?Sized>(schedule: &Schedule, instance: &Instance, probe: &mut P) {
-    synthesize_inner(schedule, instance, None, probe);
+    synthesize_xray(schedule, instance, &mut DecisionLog::disabled(), probe);
 }
 
 /// [`synthesize`] plus the decision x-ray: after each `Placement`, emits
@@ -311,20 +312,11 @@ pub fn synthesize<P: Probe + ?Sized>(schedule: &Schedule, instance: &Instance, p
 /// counts an offline kernel recorded into `log` while solving. `pool_size`
 /// is the number of machines that had already received a placement when
 /// the job's turn came (the offline analogue of the open pool); jobs the
-/// log never saw get a zeroed counter.
+/// log never saw get a zeroed counter. A disabled log emits no Decisions.
 pub fn synthesize_xray<P: Probe + ?Sized>(
     schedule: &Schedule,
     instance: &Instance,
     log: &mut DecisionLog,
-    probe: &mut P,
-) {
-    synthesize_inner(schedule, instance, Some(log), probe);
-}
-
-fn synthesize_inner<P: Probe + ?Sized>(
-    schedule: &Schedule,
-    instance: &Instance,
-    mut log: Option<&mut DecisionLog>,
     probe: &mut P,
 ) {
     if !probe.enabled() {
@@ -339,15 +331,10 @@ fn synthesize_inner<P: Probe + ?Sized>(
             location.insert(j, (m, k == 0));
         }
     }
-    // Same event list and ordering as the driver: departures first at ties.
-    let mut events: Vec<(TimePoint, bool, usize)> = Vec::with_capacity(jobs.len() * 2);
-    for (idx, j) in jobs.iter().enumerate() {
-        if location.contains_key(&j.id) {
-            events.push((j.arrival, true, idx));
-            events.push((j.departure, false, idx));
-        }
-    }
-    events.sort_unstable_by_key(|&(t, is_arrival, idx)| (t, is_arrival, jobs[idx].id));
+    // The driver's event order, restricted to the jobs the schedule holds.
+    let events = job_events(jobs)
+        .into_iter()
+        .filter(|&(_, _, idx)| location.contains_key(&jobs[idx].id));
 
     let n_machines = schedule.machines().len();
     let mut active = vec![0u32; n_machines];
@@ -370,7 +357,7 @@ fn synthesize_inner<P: Probe + ?Sized>(
             active[mi] += 1;
             load[mi] += job.size;
             probe.on_placement(t, job.id, m, ty, first, 0, load[mi], mt.capacity);
-            if let Some(log) = log.as_deref_mut() {
+            if log.enabled() {
                 let tr = log.take(job.id).unwrap_or_default();
                 let fallback = if first {
                     bshm_core::ops::PlaceReason::Opened

@@ -512,6 +512,37 @@ mod tests {
     }
 
     #[test]
+    fn offline_algorithm_steps_checkpoints_and_restores() {
+        // The built-in factory hosts the whole registry: dec-offline is
+        // solved up front and replayed through the script scheduler.
+        let c = config("offline");
+        let mut s = Service::new(c.clone(), builtin_factory()).unwrap();
+        let r = s.handle_line("ADMIT o dec-offline 5 dec:40:11");
+        assert!(r.starts_with("OK admitted"), "{r}");
+        let _ = s.handle_line("SUBMIT o 2");
+        let r = s.handle_line("STEP o");
+        assert!(r.starts_with("OK stepped"), "{r}");
+        assert!(s.tenant("o").unwrap().checkpoint_path().exists());
+        let digest = s.tenant("o").unwrap().state_digest();
+        assert_ne!(digest, 0);
+        assert!(s.handle_line("KILL o").starts_with("OK killed"));
+        let r = s.handle_line("RESTORE o");
+        assert!(r.contains("verified=true"), "{r}");
+        assert!(r.contains(&format!("digest={digest:#018x}")), "{r}");
+        let r = s.handle_line("STEP o");
+        assert!(r.starts_with("OK stepped"), "{r}");
+        // An unknown name is refused with the registry's list.
+        let _ = s.handle_line("ADMIT x one-per-job 1 dec:10:1");
+        let _ = s.handle_line("SUBMIT x 1");
+        let r = s.handle_line("STEP x");
+        assert!(
+            r.contains("unknown algorithm") && r.contains("dec-offline"),
+            "{r}"
+        );
+        cleanup(&c);
+    }
+
+    #[test]
     fn drain_finalizes_and_refuses_new_work() {
         let c = config("drain");
         let mut s = Service::new(c.clone(), builtin_factory()).unwrap();

@@ -46,37 +46,17 @@ use std::path::{Path, PathBuf};
 
 /// Builds a boxed scheduler for an algorithm name over an instance.
 ///
-/// The service takes this as an injected dependency so the cli can hand
-/// in its full registry (including offline algorithms replayed through
-/// `ScriptScheduler`) while the serve crate itself stays below the cli
-/// in the dependency graph.
+/// The service takes this as an injected dependency, so tests can hand in
+/// a misbehaving scheduler; production runs [`builtin_factory`].
 pub type SchedulerFactory =
     Box<dyn FnMut(&str, &Instance) -> Result<Box<dyn OnlineScheduler>, String> + Send>;
 
-/// The factory over the truly-online algorithms registered in
-/// `bshm-algos` — enough for the service's own drills and tests.
+/// The factory over every algorithm in [`bshm_algos::registry`]: online
+/// policies directly, offline ones replayed through
+/// [`bshm_sim::ScriptScheduler`].
 #[must_use]
 pub fn builtin_factory() -> SchedulerFactory {
-    Box::new(|name, instance| {
-        let catalog = instance.catalog();
-        Ok(match name {
-            "dec-online" => {
-                Box::new(bshm_algos::DecOnline::new(catalog)) as Box<dyn OnlineScheduler>
-            }
-            "inc-online" => Box::new(bshm_algos::IncOnline::new(catalog)),
-            "gen-online" => Box::new(bshm_algos::GeneralOnline::new(catalog)),
-            "first-fit-any" => Box::new(bshm_algos::baseline::FirstFitAny::default()),
-            "best-fit" => Box::new(bshm_algos::baseline::BestFit::default()),
-            "single-type" => Box::new(bshm_algos::baseline::SingleType::largest()),
-            "one-per-job" => Box::new(bshm_algos::baseline::OneMachinePerJob),
-            other => {
-                return Err(format!(
-                    "unknown online algorithm `{other}` (builtin factory knows: dec-online, \
-                     inc-online, gen-online, first-fit-any, best-fit, single-type, one-per-job)"
-                ))
-            }
-        })
-    })
+    Box::new(bshm_algos::registry::online_or_scripted)
 }
 
 /// A tenant's admission-time description.
@@ -795,6 +775,7 @@ pub fn dominant_reason(report: &HealthReport) -> Option<AlertReason> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bshm_algos::baseline::FirstFitAny;
     use bshm_faults::BackoffSchedule;
 
     fn data_dir(tag: &str) -> PathBuf {
@@ -873,7 +854,8 @@ mod tests {
 
     #[test]
     fn panicking_scheduler_is_caught_and_restarted() {
-        struct PanicAfter(u32);
+        /// First-fit that panics on its second arrival.
+        struct PanicAfter(u32, FirstFitAny);
         impl OnlineScheduler for PanicAfter {
             fn on_arrival(
                 &mut self,
@@ -882,13 +864,12 @@ mod tests {
             ) -> bshm_core::MachineId {
                 assert!(self.0 > 0, "injected panic");
                 self.0 -= 1;
-                let class = pool.catalog().size_class(view.size).expect("fits");
-                pool.create(class, format!("panic/{}", view.id.0))
+                self.1.on_arrival(view, pool)
             }
             fn name(&self) -> &'static str {
-                // Match OneMachinePerJob so the batch-1 checkpoint's
-                // algorithm fingerprint accepts this impostor at resume.
-                "one-machine-per-job"
+                // Match FirstFitAny so the batch-1 checkpoint's algorithm
+                // fingerprint accepts this impostor at resume.
+                self.1.name()
             }
         }
         let dir = data_dir("panic");
@@ -898,13 +879,13 @@ mod tests {
             calls += 1;
             if calls == 2 {
                 // Second batch: a scheduler that panics mid-run.
-                Ok(Box::new(PanicAfter(1)))
+                Ok(Box::new(PanicAfter(1, FirstFitAny::default())))
             } else {
                 (builtin_factory())(name, instance)
             }
         });
         let mut t = Tenant::admit(
-            TenantSpec::parse(&["p", "one-per-job", "1", "dec:30:3"]).unwrap(),
+            TenantSpec::parse(&["p", "first-fit-any", "1", "dec:30:3"]).unwrap(),
             &dir,
             queue(),
         )

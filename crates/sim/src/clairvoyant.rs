@@ -8,6 +8,7 @@ use bshm_core::instance::Instance;
 use bshm_core::job::JobId;
 use bshm_core::ops::{DecisionLog, OpProbe};
 use bshm_core::schedule::{MachineId, Schedule};
+use bshm_core::sweep::job_events;
 use bshm_core::time::{Interval, TimePoint};
 
 /// What a clairvoyant scheduler sees at arrival: the whole job.
@@ -70,7 +71,7 @@ pub fn run_clairvoyant<S: ClairvoyantScheduler>(
     instance: &Instance,
     scheduler: &mut S,
 ) -> Result<Schedule, SimError> {
-    run_clairvoyant_inner(instance, scheduler, None)
+    run_clairvoyant_logged(instance, scheduler, &mut DecisionLog::disabled())
 }
 
 /// Like [`run_clairvoyant`], but routes every arrival through
@@ -78,29 +79,15 @@ pub fn run_clairvoyant<S: ClairvoyantScheduler>(
 /// op probe, calling [`DecisionLog::begin`] per job first — so after the
 /// run, `log` holds one [`bshm_core::ops::OpTrace`] per job, ready for
 /// [`bshm_obs::replay::synthesize_xray`] to turn into Decision events.
+/// A disabled log takes the silent entry point instead.
 pub fn run_clairvoyant_logged<S: ClairvoyantScheduler>(
     instance: &Instance,
     scheduler: &mut S,
     log: &mut DecisionLog,
 ) -> Result<Schedule, SimError> {
-    run_clairvoyant_inner(instance, scheduler, Some(log))
-}
-
-fn run_clairvoyant_inner<S: ClairvoyantScheduler>(
-    instance: &Instance,
-    scheduler: &mut S,
-    mut log: Option<&mut DecisionLog>,
-) -> Result<Schedule, SimError> {
     let jobs = instance.jobs();
-    let mut events: Vec<(TimePoint, bool, usize)> = Vec::with_capacity(jobs.len() * 2);
-    for (idx, j) in jobs.iter().enumerate() {
-        events.push((j.arrival, true, idx));
-        events.push((j.departure, false, idx));
-    }
-    events.sort_unstable_by_key(|&(t, is_arrival, idx)| (t, is_arrival, jobs[idx].id));
-
     let mut pool = MachinePool::new(instance.catalog().clone());
-    for (t, is_arrival, idx) in events {
+    for (t, is_arrival, idx) in job_events(jobs) {
         let job = &jobs[idx];
         if is_arrival {
             let view = ClairvoyantView {
@@ -111,7 +98,7 @@ fn run_clairvoyant_inner<S: ClairvoyantScheduler>(
             };
             let timing = bshm_obs::span::enabled();
             let start = timing.then(bshm_obs::span::now);
-            let m = if let Some(log) = log.as_deref_mut() {
+            let m = if log.enabled() {
                 log.begin(job.id);
                 scheduler.on_arrival_explained(view, &mut pool, log)
             } else {

@@ -1,18 +1,20 @@
 //! The non-clairvoyant event driver.
 //!
 //! Replays an instance's jobs as a stream of arrival/departure events in
-//! time order (departures before arrivals at equal times — intervals are
-//! half-open, so a machine freed at `t` can host an arrival at `t`). The
-//! scheduler sees each arrival *without its departure time* (§III-B's
-//! non-clairvoyant setting) and must choose a machine immediately;
-//! decisions are irrevocable.
+//! [`job_events`] order (departures before arrivals at equal times —
+//! intervals are half-open, so a machine freed at `t` can host an arrival
+//! at `t`). The scheduler sees each arrival *without its departure time*
+//! (§III-B's non-clairvoyant setting) and must choose a machine
+//! immediately; decisions are irrevocable. One loop serves plain, probed
+//! and x-rayed runs.
 
 use crate::pool::MachinePool;
 use bshm_core::convert::count_u64;
 use bshm_core::instance::Instance;
 use bshm_core::job::JobId;
-use bshm_core::ops::{OpCounter, OpProbe, OpTrace, PlaceReason};
+use bshm_core::ops::{NoOps, OpCounter, OpProbe, OpTrace, PlaceReason};
 use bshm_core::schedule::{MachineId, Schedule};
+use bshm_core::sweep::job_events;
 use bshm_core::time::TimePoint;
 use bshm_obs::{span, NoProbe, Probe, TraceEvent};
 use std::fmt;
@@ -170,21 +172,69 @@ pub fn run_online_probed<S: OnlineScheduler, P: Probe + ?Sized>(
     scheduler: &mut S,
     probe: &mut P,
 ) -> Result<Schedule, SimError> {
-    // Event list: (time, is_arrival, job index). Departures first at ties.
-    let jobs = instance.jobs();
-    let mut events: Vec<(TimePoint, bool, usize)> = Vec::with_capacity(jobs.len() * 2);
-    for (idx, j) in jobs.iter().enumerate() {
-        events.push((j.arrival, true, idx));
-        events.push((j.departure, false, idx));
-    }
-    events.sort_unstable_by_key(|&(t, is_arrival, idx)| (t, is_arrival, jobs[idx].id));
+    drive::<S, P, NoOps>(instance, scheduler, probe).map(|(schedule, _)| schedule)
+}
 
-    let probing = probe.enabled();
+/// Like [`run_online_probed`], but drives the scheduler through
+/// [`OnlineScheduler::on_arrival_explained`] and emits one
+/// [`TraceEvent::Decision`] right after each `Placement`: the candidates
+/// the policy examined (with typed rejection reasons), the winner and how
+/// it won, the pool size it scanned against and the decision's
+/// deterministic [`OpCounter`]. Returns the schedule with the fold of
+/// every per-decision counter, so callers can cross-check the trace
+/// against the run total with integer equality.
+pub fn run_online_xray<S: OnlineScheduler, P: Probe + ?Sized>(
+    instance: &Instance,
+    scheduler: &mut S,
+    probe: &mut P,
+) -> Result<(Schedule, OpCounter), SimError> {
+    drive::<S, P, OpTrace>(instance, scheduler, probe)
+}
+
+/// The driver's explain hook, one per decision: [`NoOps`] on plain runs
+/// (zero-sized, it compiles away like [`NoProbe`]) or the x-ray's
+/// [`OpTrace`], emitted as a [`TraceEvent::Decision`].
+trait Explain: OpProbe + Sized {
+    const ON: bool;
+    fn begin() -> Self;
+    fn into_trace(self) -> Option<OpTrace>;
+}
+
+impl Explain for NoOps {
+    const ON: bool = false;
+    fn begin() -> Self {
+        NoOps
+    }
+    fn into_trace(self) -> Option<OpTrace> {
+        None
+    }
+}
+
+impl Explain for OpTrace {
+    const ON: bool = true;
+    fn begin() -> Self {
+        OpTrace::begin()
+    }
+    fn into_trace(self) -> Option<OpTrace> {
+        Some(self)
+    }
+}
+
+/// The one event loop behind every online run. Returns the schedule and
+/// the fold of every decision's op counter (zero unless `X` records).
+fn drive<S: OnlineScheduler, P: Probe + ?Sized, X: Explain>(
+    instance: &Instance,
+    scheduler: &mut S,
+    probe: &mut P,
+) -> Result<(Schedule, OpCounter), SimError> {
+    let jobs = instance.jobs();
+    let probing = X::ON || probe.enabled();
+    let mut totals = OpCounter::default();
     // When a machine last went idle → busy; indexed by machine id, only
     // maintained while probing.
     let mut open_since: Vec<TimePoint> = Vec::new();
     let mut pool = MachinePool::new(instance.catalog().clone());
-    for (t, is_arrival, idx) in events {
+    for (t, is_arrival, idx) in job_events(jobs) {
         let job = &jobs[idx];
         if is_arrival {
             let view = ArrivalView {
@@ -205,8 +255,13 @@ pub fn run_online_probed<S: OnlineScheduler, P: Probe + ?Sized>(
             }
             probe.on_arrival(t, job.id, job.size);
             let known_machines = pool.len();
+            let mut ops = X::begin();
             let start = span::now();
-            let m = scheduler.on_arrival(view, &mut pool);
+            let m = if X::ON {
+                scheduler.on_arrival_explained(view, &mut pool, &mut ops)
+            } else {
+                scheduler.on_arrival(view, &mut pool)
+            };
             let decision_ns = elapsed_ns(start);
             span::record("sim::on_arrival", decision_ns);
             let was_idle = pool.is_idle(m);
@@ -231,6 +286,29 @@ pub fn run_online_probed<S: OnlineScheduler, P: Probe + ?Sized>(
                 pool.load(m),
                 pool.capacity(m),
             );
+            if let Some(mut tr) = ops.into_trace() {
+                // Schedulers that haven't opted into on_arrival_explained
+                // leave the trace empty; classify their commit from the
+                // pool's own evidence so the Decision stream stays total.
+                let placed = match tr.placed {
+                    Some((_, how)) => how,
+                    None if opened => PlaceReason::Opened,
+                    None => PlaceReason::Reused,
+                };
+                if tr.placed.is_none() {
+                    tr.counter.commit(placed);
+                }
+                totals.fold(&tr.counter);
+                probe.record(&TraceEvent::Decision {
+                    t,
+                    job: job.id,
+                    machine: m,
+                    placed,
+                    pool_size: count_u64(known_machines),
+                    candidates: tr.candidates,
+                    ops: Box::new(tr.counter),
+                });
+            }
         } else {
             let m = pool.remove(job.id, job.size);
             if probing {
@@ -248,125 +326,11 @@ pub fn run_online_probed<S: OnlineScheduler, P: Probe + ?Sized>(
     if probing {
         probe.finish();
     }
-    Ok(pool.into_schedule())
+    Ok((pool.into_schedule(), totals))
 }
 
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Object-safe variant of [`run_online`] for callers that dispatch on a
-/// trait object.
-pub fn run_online_dyn(
-    instance: &Instance,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Schedule, SimError> {
-    run_online(instance, &mut &mut *scheduler)
-}
-
-/// Like [`run_online_probed`], but drives the scheduler through
-/// [`OnlineScheduler::on_arrival_explained`] and emits one
-/// [`TraceEvent::Decision`] per arrival — the candidate machines the
-/// policy examined (with typed rejection reasons), the winner and how it
-/// won, the pool size the decision scanned against, and the decision's
-/// deterministic [`OpCounter`].
-///
-/// Every Decision event lands immediately after its job's `Placement`
-/// event at the same timestamp. Returns the schedule together with the
-/// fold of every per-decision counter, so callers can cross-check the
-/// trace against the run total with integer equality. This entry point is
-/// deliberately separate from [`run_online_probed`]: un-x-rayed runs
-/// (including the fault harness, which byte-compares against the plain
-/// probed stream) never see Decision events.
-pub fn run_online_xray<S: OnlineScheduler, P: Probe + ?Sized>(
-    instance: &Instance,
-    scheduler: &mut S,
-    probe: &mut P,
-) -> Result<(Schedule, OpCounter), SimError> {
-    let jobs = instance.jobs();
-    let mut events: Vec<(TimePoint, bool, usize)> = Vec::with_capacity(jobs.len() * 2);
-    for (idx, j) in jobs.iter().enumerate() {
-        events.push((j.arrival, true, idx));
-        events.push((j.departure, false, idx));
-    }
-    events.sort_unstable_by_key(|&(t, is_arrival, idx)| (t, is_arrival, jobs[idx].id));
-
-    let mut totals = OpCounter::default();
-    let mut open_since: Vec<TimePoint> = Vec::new();
-    let mut pool = MachinePool::new(instance.catalog().clone());
-    for (t, is_arrival, idx) in events {
-        let job = &jobs[idx];
-        if is_arrival {
-            let view = ArrivalView {
-                id: job.id,
-                size: job.size,
-                time: t,
-            };
-            probe.on_arrival(t, job.id, job.size);
-            let known_machines = pool.len();
-            let mut tr = OpTrace::begin();
-            let start = span::now();
-            let m = scheduler.on_arrival_explained(view, &mut pool, &mut tr);
-            let decision_ns = elapsed_ns(start);
-            span::record("sim::on_arrival", decision_ns);
-            let was_idle = pool.is_idle(m);
-            pool.place(m, job.id, job.size)
-                .map_err(|cause| SimError { job: job.id, cause })?;
-            let ty = pool.machine_type(m);
-            if was_idle {
-                if open_since.len() < pool.len() {
-                    open_since.resize(pool.len(), 0);
-                }
-                open_since[m.0 as usize] = t;
-                probe.on_machine_open(t, m, ty);
-            }
-            let opened = (m.0 as usize) >= known_machines;
-            probe.on_placement(
-                t,
-                job.id,
-                m,
-                ty,
-                opened,
-                decision_ns,
-                pool.load(m),
-                pool.capacity(m),
-            );
-            // Schedulers that haven't opted into on_arrival_explained
-            // leave the trace empty; classify their commit from the
-            // pool's own evidence so the Decision stream stays total.
-            let fallback = if opened {
-                PlaceReason::Opened
-            } else {
-                PlaceReason::Reused
-            };
-            let placed = tr.placed.map_or(fallback, |(_, how)| how);
-            if tr.placed.is_none() {
-                tr.counter.commit(placed);
-            }
-            totals.fold(&tr.counter);
-            probe.record(&TraceEvent::Decision {
-                t,
-                job: job.id,
-                machine: m,
-                placed,
-                pool_size: count_u64(known_machines),
-                candidates: tr.candidates,
-                ops: Box::new(tr.counter),
-            });
-        } else {
-            let m = pool.remove(job.id, job.size);
-            probe.on_departure(t, job.id, m);
-            if pool.is_idle(m) {
-                let ty = pool.machine_type(m);
-                let opened_at = open_since[m.0 as usize];
-                probe.on_cost_accrual(t, m, ty, t - opened_at, pool.rate(m));
-                probe.on_machine_close(t, m, ty, opened_at);
-            }
-            scheduler.on_departure(job.id, m, &pool);
-        }
-    }
-    probe.finish();
-    Ok((pool.into_schedule(), totals))
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //!
 //! Online policies implement [`OnlineScheduler`]; the paper's DEC-ONLINE /
 //! INC-ONLINE / general-case policies live in `bshm-algos`.
+//! [`ScriptScheduler`] replays a finished offline schedule as an online
+//! policy, so offline algorithms run wherever an online one does.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -15,12 +17,13 @@
 pub mod clairvoyant;
 pub mod driver;
 pub mod pool;
+pub mod script;
 
 pub use clairvoyant::{
     run_clairvoyant, run_clairvoyant_logged, ClairvoyantScheduler, ClairvoyantView,
 };
 pub use driver::{
-    run_online, run_online_dyn, run_online_probed, run_online_xray, ArrivalView, OnlineScheduler,
-    SimError,
+    run_online, run_online_probed, run_online_xray, ArrivalView, OnlineScheduler, SimError,
 };
 pub use pool::{MachinePool, PlacementError};
+pub use script::ScriptScheduler;

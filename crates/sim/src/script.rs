@@ -1,6 +1,7 @@
 //! [`ScriptScheduler`]: replays a finished (offline) [`Schedule`] as an
 //! [`OnlineScheduler`], so every algorithm in the workspace — including
-//! the offline ones — can run under the faulted driver.
+//! the offline ones — can run wherever an online scheduler is expected:
+//! the faulted driver, checkpoint restore and the resident service.
 //!
 //! Machines are materialized lazily, on the first arrival routed to each
 //! scripted machine, which reproduces the machine-creation order the
@@ -11,8 +12,9 @@
 //! the faulted driver reroutes those arrivals through the recovery
 //! policy.
 
+use crate::driver::{ArrivalView, OnlineScheduler};
+use crate::pool::MachinePool;
 use bshm_core::{JobId, MachineId, Schedule, TypeIndex};
-use bshm_sim::{ArrivalView, MachinePool, OnlineScheduler};
 use std::collections::HashMap;
 
 /// An [`OnlineScheduler`] that replays a precomputed schedule.
@@ -76,8 +78,8 @@ impl OnlineScheduler for ScriptScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_online;
     use bshm_core::{validate_schedule, Catalog, Instance, Job, MachineType};
-    use bshm_sim::run_online;
 
     fn instance() -> Instance {
         let catalog = Catalog::new(vec![MachineType::new(4, 1), MachineType::new(16, 3)]).unwrap();

@@ -1,10 +1,10 @@
 //! Property-based tests (proptest): structural invariants over random
 //! instances, placements and catalogs.
 
+use bshm::algos::registry;
 use bshm::chart::placement::{overshoot, place_jobs, verify_two_allocation, PlacementOrder};
 use bshm::core::normalize::NormalizedCatalog;
 use bshm::prelude::*;
-use bshm::sim::run_online;
 use proptest::prelude::*;
 
 /// Random job list: sizes 1..=64, arrivals 0..200, durations 1..=60.
@@ -67,15 +67,8 @@ proptest! {
     ) {
         let instance = Instance::new(jobs, catalog).expect("valid");
         let lb = lower_bound(&instance);
-        let schedules = vec![
-            ("dec-off", dec_offline(&instance, PlacementOrder::Arrival)),
-            ("inc-off", inc_offline(&instance, PlacementOrder::Arrival)),
-            ("gen-off", general_offline(&instance, PlacementOrder::Arrival)),
-            ("dec-on", run_online(&instance, &mut DecOnline::new(instance.catalog())).unwrap()),
-            ("inc-on", run_online(&instance, &mut IncOnline::new(instance.catalog())).unwrap()),
-            ("gen-on", run_online(&instance, &mut GeneralOnline::new(instance.catalog())).unwrap()),
-        ];
-        for (name, s) in schedules {
+        for name in registry::names() {
+            let s = registry::run_traced(name, &instance, &mut NoProbe).unwrap();
             prop_assert!(validate_schedule(&s, &instance).is_ok(), "{} infeasible", name);
             prop_assert!(schedule_cost(&s, &instance) >= lb, "{} beat the LB", name);
         }
