@@ -51,7 +51,7 @@ static ALGORITHMS: [(&str, Kind); 12] = [
 
 /// The registered names, in the order `bshm algs` lists them and the
 /// baseline suite measures them.
-pub fn names() -> impl ExactSizeIterator<Item = &'static str> + Clone {
+pub fn names() -> impl ExactSizeIterator<Item = &'static str> {
     ALGORITHMS.iter().map(|&(name, _)| name)
 }
 

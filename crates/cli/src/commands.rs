@@ -17,8 +17,8 @@ use bshm_sim::OnlineScheduler;
 use bshm_workload::WorkloadSpec;
 use std::io::Write;
 
-/// The registry's run functions under the names this crate has always
-/// exported them by.
+/// The registry's run functions, under the names the cli's callers
+/// import them by.
 pub use registry::{online_or_scripted, run_traced as run_alg_traced, run_xray as run_alg_xray};
 
 type Out<'a> = &'a mut dyn Write;
