@@ -93,9 +93,12 @@ impl Placement {
     }
 }
 
-/// Greedily places `jobs` as a 2-allocation. O(n² · k) worst case where
-/// `k` is the peak number of concurrently active jobs; in practice fast
-/// for the instance sizes the evaluation uses.
+/// Greedily places `jobs` as a 2-allocation.
+///
+/// In [`PlacementOrder::Arrival`] the jobs are swept in arrival order over
+/// an active set: a rectangle leaves it once its departure is at or before
+/// the current arrival, so each job inspects only the rectangles live at
+/// its arrival. The two ablation orders search the whole placement so far.
 ///
 /// ```
 /// use bshm_chart::placement::{place_jobs, verify_two_allocation, PlacementOrder};
@@ -113,10 +116,11 @@ pub fn place_jobs(jobs: &[Job], order: PlacementOrder) -> Placement {
 
 /// [`place_jobs`] with per-job op accounting: each job's altitude search is
 /// charged to its [`bshm_core::ops::OpTrace`] in `log` as capacity
-/// comparisons (rectangles inspected for interval overlap plus per-segment
-/// activity checks during the blocked-altitude sweep). No machines exist at
-/// placement time, so nothing is scanned or committed here — the strip
-/// phase ([`crate::strips::schedule_strips_logged`]) finishes each
+/// comparisons, one per candidate rectangle it filters (the live ones in
+/// arrival order, every placed one otherwise) plus one per (processed time
+/// segment, live rectangle) pair in the blocked-altitude sweep. No machines
+/// exist at placement time, so nothing is scanned or committed here — the
+/// strip phase ([`crate::strips::schedule_strips_logged`]) finishes each
 /// decision.
 #[must_use]
 pub fn place_jobs_logged(jobs: &[Job], order: PlacementOrder, log: &mut DecisionLog) -> Placement {
@@ -130,76 +134,89 @@ pub fn place_jobs_logged(jobs: &[Job], order: PlacementOrder, log: &mut Decision
             ordered.sort_unstable_by_key(|j| (std::cmp::Reverse(j.duration()), j.arrival, j.id));
         }
     }
+    let sweep = order == PlacementOrder::Arrival;
     let mut placement = Placement {
         placed: Vec::with_capacity(ordered.len()),
     };
+    let mut active: Vec<PlacedJob> = Vec::new();
     for job in ordered {
-        let (lo2, work) = lowest_feasible_altitude_counted(&placement.placed, &job);
+        let candidates = if sweep {
+            active.retain(|p| p.job.departure > job.arrival);
+            &active
+        } else {
+            &placement.placed
+        };
+        let (lo2, work) = lowest_feasible_altitude_counted(candidates, &job);
         log.begin(job.id);
         log.compared(work);
-        placement.placed.push(PlacedJob { job, lo2 });
+        let placed = PlacedJob { job, lo2 };
+        if sweep {
+            active.push(placed);
+        }
+        placement.placed.push(placed);
     }
     placement
 }
 
 /// The lowest altitude (doubled units) at which `job`'s rectangle overlaps
-/// at most one existing rectangle at every time in its interval.
+/// at most one rectangle of `candidates` at every time in its interval.
 #[cfg(test)]
-fn lowest_feasible_altitude(placed: &[PlacedJob], job: &Job) -> u64 {
-    lowest_feasible_altitude_counted(placed, job).0
+fn lowest_feasible_altitude(candidates: &[PlacedJob], job: &Job) -> u64 {
+    lowest_feasible_altitude_counted(candidates, job).0
 }
 
 /// [`lowest_feasible_altitude`] plus its deterministic comparison count:
-/// one per already-placed rectangle (the overlap filter) and one per
-/// (time segment, alive rectangle) pair in the blocked-altitude sweep.
-fn lowest_feasible_altitude_counted(placed: &[PlacedJob], job: &Job) -> (u64, u64) {
+/// one per candidate (the overlap filter) and one per (processed time
+/// segment, live rectangle) pair in the blocked-altitude sweep.
+///
+/// Only segments that start at the window start or at an arrival are
+/// processed. Between arrivals rectangles can only depart, so a segment
+/// starting at a departure alone blocks a subset of what the segment
+/// before it blocks. In arrival order no candidate arrives inside the
+/// window, which leaves one segment per job.
+fn lowest_feasible_altitude_counted(candidates: &[PlacedJob], job: &Job) -> (u64, u64) {
     let window = job.interval();
-    let mut work = bshm_core::convert::count_u64(placed.len());
+    let mut work = bshm_core::convert::count_u64(candidates.len());
     // Rectangles alive somewhere in the job's window.
-    let alive: Vec<&PlacedJob> = placed
+    let alive: Vec<&PlacedJob> = candidates
         .iter()
         .filter(|p| p.job.interval().overlaps(&window))
         .collect();
     if alive.is_empty() {
         return (0, work);
     }
-    // Time grid restricted to the window.
+    // Segment starts: the window start and every arrival inside the window
+    // (an alive rectangle arriving after the window start arrives before
+    // its end).
     let mut grid: Vec<u64> = vec![window.start()];
-    for p in &alive {
-        for t in [p.job.arrival, p.job.departure] {
-            if window.contains(t) && t != window.start() {
-                grid.push(t);
-            }
-        }
-    }
+    grid.extend(
+        alive
+            .iter()
+            .map(|p| p.job.arrival)
+            .filter(|&t| t > window.start()),
+    );
     grid.sort_unstable();
     grid.dedup();
 
-    // For each time segment, collect the altitude regions covered by ≥ 2
-    // rectangles; the union over segments is forbidden for the new bottom
-    // edge... more precisely for the whole new rectangle.
+    // For each segment, collect the altitude regions covered by ≥ 2
+    // rectangles; the new rectangle must miss their union.
     let mut blocked: Vec<Interval> = Vec::new();
+    let mut events: Vec<(u64, i32)> = Vec::with_capacity(alive.len() * 2);
     for &seg_start in &grid {
         work += bshm_core::convert::count_u64(alive.len());
-        let mut spans: Vec<(u64, u64)> = alive
-            .iter()
-            .filter(|p| p.job.active_at(seg_start))
-            .map(|p| (p.lo2, p.hi2()))
-            .collect();
-        if spans.len() < 2 {
+        events.clear();
+        for p in alive.iter().filter(|p| p.job.active_at(seg_start)) {
+            events.push((p.lo2, 1));
+            events.push((p.hi2(), -1));
+        }
+        if events.len() < 4 {
             continue;
         }
-        spans.sort_unstable();
         // Sweep altitude coverage to find regions with coverage ≥ 2.
-        let mut events: Vec<(u64, i32)> = Vec::with_capacity(spans.len() * 2);
-        for (lo, hi) in spans {
-            events.push((lo, 1));
-            events.push((hi, -1));
-        }
-        events.sort_unstable_by_key(|&(a, d)| (a, d));
+        events.sort_unstable();
         let mut cover = 0i32;
         let mut start_two: Option<u64> = None;
-        for (alt, delta) in events {
+        for &(alt, delta) in &events {
             let before = cover;
             cover += delta;
             if before < 2 && cover >= 2 {

@@ -1,6 +1,6 @@
 //! Property tests for the 2-allocation placement and strip partitioning.
 
-use bshm_chart::placement::{place_jobs, verify_two_allocation, PlacementOrder};
+use bshm_chart::placement::{place_jobs, verify_two_allocation, PlacedJob, PlacementOrder};
 use bshm_chart::strips::schedule_strips;
 use bshm_core::job::Job;
 use bshm_core::machine::TypeIndex;
@@ -16,16 +16,79 @@ fn arb_jobs(max_size: u64) -> impl Strategy<Value = Vec<Job>> {
     })
 }
 
+/// Strip height (in real units) of the capacity-16 strips below.
+const STRIP: u64 = 8;
+
+const ORDERS: [PlacementOrder; 3] = [
+    PlacementOrder::Arrival,
+    PlacementOrder::SizeDescending,
+    PlacementOrder::DurationDescending,
+];
+
+/// Jobs crowded onto a few timestamps (equal arrivals and departures), with
+/// zero-gap chains (`d_i = a_{i+1}`) and sizes up to the strip height.
+fn arb_tied_jobs() -> impl Strategy<Value = Vec<Job>> {
+    prop::collection::vec((1..=STRIP, 0u64..12, 1u64..=6, 0u64..3), 1..30).prop_map(|raw| {
+        let mut previous_departure = None;
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (size, arr, dur, chain))| {
+                // One job in three starts exactly when the previous one ends.
+                let arrival = match previous_departure {
+                    Some(d) if chain == 0 => d,
+                    _ => arr,
+                };
+                previous_departure = Some(arrival + dur);
+                Job::new(i as u32, size, arrival, arrival + dur)
+            })
+            .collect()
+    })
+}
+
+/// The greedy rule's spec, point by point: for every altitude (doubled
+/// units), whether two rectangles of `placed` cover it at some time of
+/// `job`'s interval. Times and altitudes are integers, so sampling each
+/// integer covers every point.
+fn doubly_covered(placed: &[PlacedJob], job: &Job) -> Vec<bool> {
+    let top = placed.iter().map(PlacedJob::hi2).max().unwrap_or(0) as usize;
+    let mut twice = vec![false; top];
+    for t in job.arrival..job.departure {
+        let mut cover = vec![0u32; top];
+        for p in placed.iter().filter(|p| p.job.active_at(t)) {
+            for c in &mut cover[p.lo2 as usize..p.hi2() as usize] {
+                *c += 1;
+            }
+        }
+        for (x, &c) in cover.iter().enumerate() {
+            twice[x] |= c >= 2;
+        }
+    }
+    twice
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn each_altitude_is_the_lowest_without_a_triple(jobs in arb_tied_jobs()) {
+        for order in ORDERS {
+            let p = place_jobs(&jobs, order);
+            for (i, q) in p.placed().iter().enumerate() {
+                let twice = doubly_covered(&p.placed()[..i], &q.job);
+                let height = 2 * q.job.size as usize;
+                let triple_at = |a: usize| twice.iter().skip(a).take(height).any(|&b| b);
+                let lo2 = q.lo2 as usize;
+                prop_assert!(!triple_at(lo2), "{order:?}: {:?} at {lo2} makes a triple", q.job);
+                for a in 0..lo2 {
+                    prop_assert!(triple_at(a), "{order:?}: {:?} fits lower, at {a}", q.job);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn no_triples_any_order(jobs in arb_jobs(32)) {
-        for order in [
-            PlacementOrder::Arrival,
-            PlacementOrder::SizeDescending,
-            PlacementOrder::DurationDescending,
-        ] {
+        for order in ORDERS {
             let p = place_jobs(&jobs, order);
             prop_assert!(verify_two_allocation(&p).is_none());
         }

@@ -312,7 +312,9 @@ fn cmd_solve(flags: &Flags, out: Out) -> Result<(), String> {
     let format = parse_metrics_format(flags.get("metrics-format"), "metrics-format")?;
     let want_metrics = flags.has("metrics") || flags.get("metrics-format").is_some();
     let want_gap = flags.has("gap");
-    let schedule = if trace_path.is_some() || want_metrics || want_gap {
+    // With --gap, the gauges' settled lower bound equals the full sweep's,
+    // so the sweep below runs only when the gap timeline has no point.
+    let (schedule, gauge_lb) = if trace_path.is_some() || want_metrics || want_gap {
         let mut rec = recorder(alg, &instance, trace_path)?;
         // --gap wraps the recorder in a GapProbe: the trace and metrics
         // then carry one GapSample per distinct timestamp.
@@ -350,16 +352,20 @@ fn cmd_solve(flags: &Flags, out: Out) -> Result<(), String> {
                 }
             }
         }
-        schedule
+        let gauge_lb = gap_timeline
+            .as_ref()
+            .and_then(|tl| tl.final_point())
+            .map(|p| Cost::from(p.lower_bound));
+        (schedule, gauge_lb)
     } else {
-        run_alg_traced(alg, &instance, &mut NoProbe)?
+        (run_alg_traced(alg, &instance, &mut NoProbe)?, None)
     };
     validate_schedule(&schedule, &instance).map_err(|e| format!("BUG: {alg} infeasible: {e}"))?;
     let cost: Cost = schedule_cost(&schedule, &instance);
-    let lb = {
+    let lb = gauge_lb.unwrap_or_else(|| {
         let _span = bshm_obs::span::span("core::lower_bound");
         lower_bound(&instance)
-    };
+    });
     // Prometheus exposition must stay machine-parseable: suppress the
     // human report (schedule writing still happens).
     if !(want_metrics && format == MetricsFormat::Prometheus) {
@@ -2210,6 +2216,29 @@ mod tests {
         assert!(out.contains("no Decision events"), "{out}");
     }
 
+    /// The 2-allocation placement inspects only the rectangles live at each
+    /// arrival, so dec-offline's x-ray work per job stays flat as the
+    /// instance grows instead of growing with the whole placement.
+    #[test]
+    fn dec_offline_xray_ops_per_job_stay_flat() {
+        let ops_per_job = |n: usize| {
+            let inst = tmp(&format!("inst-xray-scale-{n}.json"));
+            let (code, out) = run_cmd(&format!(
+                "gen --n {n} --seed 1 --catalog dec:4:4 --out {inst}"
+            ));
+            assert_eq!(code, 0, "{out}");
+            let instance: Instance =
+                serde_json::from_str(&std::fs::read_to_string(&inst).unwrap()).unwrap();
+            let (_, totals) = registry::run_xray("dec-offline", &instance, &mut NoProbe).unwrap();
+            totals.total_ops() as f64 / n as f64
+        };
+        let (small, large) = (ops_per_job(1_000), ops_per_job(8_000));
+        assert!(
+            large <= 1.5 * small,
+            "ops per job grew from {small:.1} at 1k jobs to {large:.1} at 8k"
+        );
+    }
+
     /// A single well-formed trace line (arrival of one job).
     fn one_event_line() -> String {
         serde_json::to_string(&bshm_obs::TraceEvent::Arrival {
@@ -2400,6 +2429,31 @@ mod tests {
         let (code, out) = run_cmd(&format!("gap-report {trace} --format yaml"));
         assert_eq!(code, 2);
         assert!(out.contains("expected `console` or `json`"), "{out}");
+    }
+
+    #[test]
+    fn solve_gap_reports_the_sweep_lower_bound() {
+        let lb_line = |out: &str| -> String {
+            out.lines()
+                .find(|l| l.starts_with("lower bound:"))
+                .unwrap_or_else(|| panic!("no lower bound line in {out}"))
+                .to_string()
+        };
+        for family in ["dec", "inc", "saw"] {
+            let inst = tmp(&format!("inst-gap-lb-{family}.json"));
+            let (code, out) = run_cmd(&format!(
+                "gen --n 30 --seed 19 --catalog {family}:3:4 --arrivals poisson:3 \
+                 --durations uniform:10:40 --sizes uniform:1:48 --out {inst}"
+            ));
+            assert_eq!(code, 0, "{out}");
+            for alg in registry::names() {
+                let (code, plain) = run_cmd(&format!("solve --instance {inst} --alg {alg}"));
+                assert_eq!(code, 0, "{family} {alg}: {plain}");
+                let (code, gap) = run_cmd(&format!("solve --instance {inst} --alg {alg} --gap"));
+                assert_eq!(code, 0, "{family} {alg}: {gap}");
+                assert_eq!(lb_line(&gap), lb_line(&plain), "{family} {alg}");
+            }
+        }
     }
 
     #[test]
