@@ -52,7 +52,7 @@ pub const RULES: [RuleInfo; 15] = [
     },
     RuleInfo {
         name: "no-raw-metric",
-        summary: "no direct assignment to Metrics counter/gauge fields in obs/sim outside the recorder fold and the labeled registry; mutate through Recorder::record or Registry mutators",
+        summary: "no direct assignment to Metrics counter/gauge fields in obs/sim outside the recorder fold; mutate through Recorder::record or Metrics::update",
     },
     RuleInfo {
         name: "no-untyped-reject",
@@ -119,8 +119,6 @@ pub fn check_file(ctx: &FileContext, toks: &[Tok], in_test: &[bool]) -> Vec<Diag
     }
     if matches!(ctx.crate_name.as_str(), "obs" | "sim")
         && !ctx.path.ends_with("obs/src/recorder.rs")
-        && !ctx.path.ends_with("obs/src/registry.rs")
-        && !ctx.path.ends_with("obs/src/window.rs")
     {
         out.extend(no_raw_metric(ctx, toks, &live));
     }
@@ -351,12 +349,10 @@ const METRIC_FIELDS: [&str; 28] = [
 /// `no-raw-metric`: direct mutation of `Metrics` counter/gauge fields.
 ///
 /// Every metric mutation in obs/sim must flow through the recorder's
-/// event fold (`Metrics::apply`, in `obs/src/recorder.rs`), the labeled
-/// registry's typed mutators (`obs/src/registry.rs`), or the rolling-window
-/// fold (`obs/src/window.rs`, whose per-window counters deliberately share
-/// the `Metrics` field names) — all exempted by the caller — so the
-/// Prometheus exposition, the drift auditors, and the replay fold can
-/// never disagree about a counter's provenance.
+/// event fold (`Metrics::update`, in `obs/src/recorder.rs`, the one file
+/// the caller exempts) — the rolling windows fold through it too — so the
+/// Prometheus exposition, the drift auditors, the windows and the replay
+/// fold can never disagree about a counter's provenance.
 fn no_raw_metric(ctx: &FileContext, toks: &[Tok], live: &dyn Fn(usize) -> bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -383,7 +379,7 @@ fn no_raw_metric(ctx: &FileContext, toks: &[Tok], live: &dyn Fn(usize) -> bool) 
                 &ctx.path,
                 t.line,
                 format!(
-                    "raw write to metric field `{}` outside the recorder fold/registry; route it through Recorder::record or a Registry mutator, or justify with `// bshm-allow(no-raw-metric): reason`",
+                    "raw write to metric field `{}` outside the recorder fold; route it through Recorder::record or Metrics::update, or justify with `// bshm-allow(no-raw-metric): reason`",
                     t.text
                 ),
             ));
@@ -1072,10 +1068,13 @@ mod tests {
                 );
             }
         }
-        // …but the recorder fold and the registry are the sanctioned sites.
+        // …but the recorder fold is the one sanctioned site; the rolling
+        // windows fold through it and get no exemption of their own.
         let src = "fn f(m: &mut Metrics) { m.gap_samples += 1; }";
         assert!(check("crates/obs/src/recorder.rs", src).is_empty());
-        assert!(check("crates/obs/src/registry.rs", src).is_empty());
+        assert!(check("crates/obs/src/window.rs", src)
+            .iter()
+            .any(|d| d.rule == "no-raw-metric"));
         // Other crates (faults' own report counters, cli, bench) are out
         // of scope; so are test regions.
         assert!(check("crates/faults/src/runner.rs", src).is_empty());

@@ -317,7 +317,7 @@ the build (`drift/rules-manifest`).
 | `no-print` | no console output from library crates |
 | `must-use-accessor` | value-returning core accessors are `#[must_use]` |
 | `no-raw-trace-write` | trace-shaped output goes through the crash-safe sink |
-| `no-raw-metric` | metric mutations go through the recorder fold/registry |
+| `no-raw-metric` | metric mutations go through the recorder fold (`Metrics::update`) |
 | `no-untyped-reject` | rejection probes take a typed RejectReason, never strings |
 | `no-unbounded-buffer` | obs ring/queue buffers declare a capacity bound |
 | `unordered-iter` | no HashMap/HashSet iteration in library crates (order is per-process random) |

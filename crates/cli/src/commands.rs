@@ -290,7 +290,7 @@ fn report_recorder(
     }
     match metrics {
         Some(MetricsFormat::Prometheus) => {
-            let _ = write!(out, "{}", bshm_obs::encode_prometheus(&m, &[]));
+            let _ = write!(out, "{}", bshm_obs::encode_prometheus(&m));
         }
         Some(MetricsFormat::Json) => {
             let _ = write!(out, "{}", m.summary());
@@ -543,7 +543,7 @@ fn cmd_export_metrics(flags: &Flags, out: Out) -> Result<(), String> {
     let n_types = replay::infer_n_types(&events);
     let metrics = replay::metrics_from_events(label, &events, n_types);
     let rendered = match format {
-        MetricsFormat::Prometheus => bshm_obs::encode_prometheus(&metrics, &[]),
+        MetricsFormat::Prometheus => bshm_obs::encode_prometheus(&metrics),
         MetricsFormat::Json => {
             serde_json::to_string_pretty(&metrics).expect("metrics serialize") + "\n"
         }
@@ -854,14 +854,18 @@ fn watch_render(out: Out, path: &str, width: u64, rows: usize) -> Result<u64, St
             }
         }
     }
-    // Pass 2 (streaming): fold into a ring of at most `rows` windows.
+    // Pass 2 (streaming): fold into a ring of at most `rows` windows; the
+    // totals merge every window as it closes, evicted ones included.
     let mut rw = bshm_obs::RollingWindows::new(width, rows, n_types);
+    let mut totals = bshm_obs::Metrics::new("window", n_types);
     for e in replay::stream_jsonl_file(std::path::Path::new(path))? {
         let Ok(e) = e else { break };
-        rw.observe(&e);
+        rw.observe(&e, |w| totals.merge(&w.metrics));
     }
-    let _ = rw.flush(); // the in-progress window joins the dashboard
-    let totals = rw.totals().clone();
+    // The in-progress window joins the dashboard.
+    if let Some(w) = rw.flush() {
+        totals.merge(&w.metrics);
+    }
     let hist = rw.history();
 
     let _ = writeln!(out, "trace:        {path}");
@@ -897,7 +901,7 @@ fn watch_render(out: Out, path: &str, width: u64, rows: usize) -> Result<u64, St
         .iter()
         .map(bshm_obs::WindowStats::open_machines)
         .collect();
-    let arrivals: Vec<u64> = hist.iter().map(|w| w.arrivals).collect();
+    let arrivals: Vec<u64> = hist.iter().map(|w| w.metrics.arrivals).collect();
     let (row, peak) = spark(&opens);
     let _ = writeln!(out, "open machines |{row}| peak {peak}");
     let (row, peak) = spark(&arrivals);
@@ -922,11 +926,11 @@ fn watch_render(out: Out, path: &str, width: u64, rows: usize) -> Result<u64, St
             "{:>7} {:>13} {:>5} {:>6} {:>9} {:>7} {:>6} {:>6}",
             w.window,
             format!("[{},{})", w.start, w.end),
-            w.arrivals,
-            w.placements,
+            w.metrics.arrivals,
+            w.metrics.placements,
             p99,
             gap,
-            w.alerts,
+            w.metrics.alerts,
             w.open_machines()
         );
     }
@@ -2552,7 +2556,27 @@ mod tests {
         assert!(out.contains("open machines |"), "{out}");
         assert!(out.contains("arrivals      |"), "{out}");
         assert!(out.contains("windows:"), "{out}");
-        assert!(out.contains("totals:"), "{out}");
+        // The totals merge every closed window, evicted ones included, so
+        // they equal the whole-trace fold that export-metrics reports.
+        let (code, json) = run_cmd(&format!("export-metrics --trace {trace} --format json"));
+        assert_eq!(code, 0, "{json}");
+        let field = |name: &str| -> String {
+            let key = format!("\"{name}\": ");
+            json.lines()
+                .find_map(|l| l.trim().strip_prefix(key.as_str()))
+                .unwrap_or_else(|| panic!("no {name} in {json}"))
+                .trim_end_matches(',')
+                .to_string()
+        };
+        let totals = format!(
+            "totals:       {} arrivals, {} placements, {} alert(s), cost {}",
+            field("arrivals"),
+            field("placements"),
+            field("alerts"),
+            field("traced_cost")
+        );
+        assert!(out.contains(&totals), "{totals}\n{out}");
+        assert!(out.contains("windows:      4 shown of "), "{out}");
         // A torn trailing line — a live writer mid-flush — truncates the
         // dashboard to the valid prefix instead of failing.
         let mut text = std::fs::read_to_string(&trace).unwrap();

@@ -26,10 +26,10 @@
 //!   [`bshm_core::analysis::machine_timeline`]. [`replay::synthesize`]
 //!   produces the canonical event stream for a *finished* (offline)
 //!   schedule so offline and online runs trace identically.
-//! * [`prometheus`] renders [`Metrics`] (and span timers) in the
-//!   Prometheus text-exposition format — counters, gauges, and the
-//!   latency/utilization histograms as cumulative `_bucket` series —
-//!   and ships the [`validate_exposition`] parser the tests gate on.
+//! * [`prometheus`] renders [`Metrics`] in the Prometheus text-exposition
+//!   format — counters, gauges, and the latency/utilization histograms as
+//!   cumulative `_bucket` series — and ships the [`validate_exposition`]
+//!   parser the tests gate on.
 //! * [`gap`] is the live optimality-gap observatory: [`GapProbe`] wraps
 //!   any probe, maintains the incremental busy-time lower bound and the
 //!   accrued cost while events stream past, and emits one
@@ -41,10 +41,6 @@
 //!   [`CostLedger`] charges every unit of busy-time cost to responsible
 //!   jobs (opener pays for the opening segment, extensions split
 //!   proportionally by occupant size) with an exact integer total.
-//! * [`registry`] is the labeled metrics layer above the flat
-//!   [`Metrics`]: counter/gauge/histogram families keyed by
-//!   `algorithm`/`workload`/`size_class` label sets, rendered as one
-//!   Prometheus exposition via [`Registry::encode`].
 //! * [`sink`] gives trace files crash semantics: [`TraceWriter`] streams
 //!   to `<path>.partial` and renames into place on finalize (optionally
 //!   flushing every line), [`salvage_jsonl`] recovers the valid prefix of
@@ -55,9 +51,11 @@
 //!   atomic JSONL snapshot when the health plane asks for a post-mortem.
 //! * [`window`] is rolling-window telemetry: [`RollingWindows`] cuts the
 //!   stream into event-clock windows ([`bshm_core::WindowClock`]) and
-//!   folds each into a [`WindowStats`] (windowed latency percentiles,
-//!   windowed gap ratio, open-machine and displacement rates) with a
-//!   bounded history ring.
+//!   folds each window's events through [`Metrics::update`] into a
+//!   [`WindowStats`] (windowed latency percentiles, gap ratio,
+//!   open-machine and displacement counts) with a bounded history ring.
+//!   Merging the closed windows in order gives the whole run's
+//!   [`Metrics`].
 //! * [`slo`] is the deterministic SLO engine: [`SloSpec`] parses the
 //!   declarative threshold grammar, [`SloEngine`] evaluates closed
 //!   windows in fixed-point integer arithmetic, and [`HealthProbe`]
@@ -79,7 +77,6 @@ pub mod gap;
 pub mod probe;
 pub mod prometheus;
 pub mod recorder;
-pub mod registry;
 pub mod replay;
 pub mod sink;
 pub mod slo;
@@ -94,8 +91,7 @@ pub use gap::{
 };
 pub use probe::{Collector, Deterministic, NoProbe, Probe};
 pub use prometheus::{encode as encode_prometheus, validate_exposition};
-pub use recorder::{bucket_quantile, merge_counts, merge_gauge_timelines, Metrics, Recorder};
-pub use registry::{labels, HistogramValue, Labels, MetricKind, Registry, RegistryError};
+pub use recorder::{bucket_quantile, Metrics, Recorder};
 pub use replay::{
     cross_check, machine_utilization, metrics_from_events, parse_jsonl, replay_timeline,
     stream_jsonl_file, synthesize, synthesize_xray, EventStream, MachineUsage, ReplayedTimeline,
@@ -107,4 +103,4 @@ pub use slo::{
     SloSpec, DEFAULT_SLO_SPEC,
 };
 pub use span::{SpanGuard, SpanStat};
-pub use window::{sum_windows, RollingWindows, WindowStats};
+pub use window::{RollingWindows, WindowStats};

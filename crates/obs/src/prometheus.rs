@@ -1,4 +1,4 @@
-//! Prometheus text-exposition encoding of [`Metrics`] and span timers.
+//! Prometheus text-exposition encoding of [`Metrics`].
 //!
 //! [`encode`] renders the aggregated run metrics in the Prometheus
 //! text format (version 0.0.4): `# HELP`/`# TYPE` headers, counter and
@@ -12,12 +12,11 @@ use crate::event::AlertReason;
 use crate::recorder::{
     decision_ns_bucket_bounds, ops_bucket_bounds, utilization_bucket_bounds, Metrics,
 };
-use crate::span::SpanStat;
 use bshm_core::ops::RejectReason;
 use std::fmt::Write as _;
 
 /// Escapes a label value (backslash, double-quote, newline).
-pub(crate) fn escape_label(s: &str) -> String {
+fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
@@ -25,7 +24,7 @@ pub(crate) fn escape_label(s: &str) -> String {
 
 /// Formats a float the way Prometheus expects (integral values without a
 /// trailing `.0` are fine; non-finite values are not produced here).
-pub(crate) fn fmt_value(x: f64) -> String {
+fn fmt_value(x: f64) -> String {
     if x == x.trunc() && x.abs() < 1e15 {
         format!("{}", x as i64) // bshm-allow(lossy-cast): guarded — x is integral with |x| < 1e15, well inside i64
     } else {
@@ -89,11 +88,11 @@ impl Exposition {
     }
 }
 
-/// Renders `metrics` (plus optional hot-path `spans`) as Prometheus text
-/// exposition. All families are prefixed `bshm_` and carry an
-/// `algorithm` label; per-type series add a `type` label.
+/// Renders `metrics` as Prometheus text exposition. All families are
+/// prefixed `bshm_` and carry an `algorithm` label; per-type series add a
+/// `type` label.
 #[must_use]
-pub fn encode(metrics: &Metrics, spans: &[SpanStat]) -> String {
+pub fn encode(metrics: &Metrics) -> String {
     let mut e = Exposition { out: String::new() };
     let alg = |_: ()| vec![("algorithm", metrics.algorithm.clone())];
     let base = alg(());
@@ -351,28 +350,6 @@ pub fn encode(metrics: &Metrics, spans: &[SpanStat]) -> String {
         metrics.utilization_sum,
     );
 
-    if !spans.is_empty() {
-        e.header(
-            "bshm_span_duration_ns_total",
-            "counter",
-            "Total wall-clock nanoseconds spent in a named hot-path span.",
-        );
-        for s in spans {
-            let mut labels = base.clone();
-            labels.push(("span", s.name.clone()));
-            e.sample("bshm_span_duration_ns_total", &labels, s.total_ns as f64);
-        }
-        e.header(
-            "bshm_span_invocations_total",
-            "counter",
-            "Completed invocations of a named hot-path span.",
-        );
-        for s in spans {
-            let mut labels = base.clone();
-            labels.push(("span", s.name.clone()));
-            e.sample("bshm_span_invocations_total", &labels, s.count as f64);
-        }
-    }
     e.out
 }
 
@@ -637,7 +614,7 @@ mod tests {
     #[test]
     fn encode_is_valid_exposition() {
         let m = sample_metrics();
-        let text = encode(&m, &[]);
+        let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("# TYPE bshm_arrivals_total counter"));
         assert!(text.contains("bshm_arrivals_total{algorithm=\"dec-online\"} 2"));
@@ -654,7 +631,7 @@ mod tests {
         rec.on_job_recovery(4, JobId(0), MachineId(0), MachineId(1), TypeIndex(0), 50);
         rec.on_job_dropped(4, JobId(1), "no capacity");
         let m = rec.into_metrics().unwrap();
-        let text = encode(&m, &[]);
+        let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("bshm_machine_crashes_total{algorithm=\"dec-online\"} 1"));
         assert!(text.contains("bshm_jobs_displaced_total{algorithm=\"dec-online\"} 2"));
@@ -669,7 +646,7 @@ mod tests {
         rec.on_alert(10, AlertReason::DisplacementStorm, 0, 5000, 3000);
         rec.on_alert(20, AlertReason::GapBreach, 1, 1300, 1100);
         let m = rec.into_metrics().unwrap();
-        let text = encode(&m, &[]);
+        let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("bshm_alerts_total{algorithm=\"dec-online\"} 2"));
         assert!(text.contains(
@@ -681,25 +658,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_includes_spans() {
-        let m = sample_metrics();
-        let spans = vec![SpanStat {
-            name: "core::lower_bound".into(),
-            count: 3,
-            total_ns: 4500,
-            max_ns: 2000,
-        }];
-        let text = encode(&m, &spans);
-        validate_exposition(&text).unwrap();
-        assert!(text.contains(
-            "bshm_span_duration_ns_total{algorithm=\"dec-online\",span=\"core::lower_bound\"} 4500"
-        ));
-    }
-
-    #[test]
     fn empty_metrics_still_valid() {
         let m = Metrics::new("auto", 0);
-        let text = encode(&m, &[]);
+        let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("bshm_placements_total{algorithm=\"auto\"} 0"));
     }
@@ -707,7 +668,7 @@ mod tests {
     #[test]
     fn histogram_sum_is_exact() {
         let m = sample_metrics();
-        let text = encode(&m, &[]);
+        let text = encode(&m);
         assert!(text.contains("bshm_decision_latency_ns_sum{algorithm=\"dec-online\"} 107"));
         // 2/4 + 8/16 = 1.0
         assert!(text.contains("bshm_machine_utilization_sum{algorithm=\"dec-online\"} 1"));
@@ -741,7 +702,7 @@ mod tests {
         // a raw newline would split the sample across exposition lines.
         let mut m = Metrics::new("weird\"alg\\name\nline", 1);
         m.arrivals = 1;
-        let text = encode(&m, &[]);
+        let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("algorithm=\"weird\\\"alg\\\\name\\nline\""));
         assert!(!text.contains("weird\"alg"));
@@ -775,7 +736,7 @@ mod tests {
         });
         let m = rec.into_metrics().unwrap();
         assert_eq!(m.ops_sum, 4);
-        let text = encode(&m, &[]);
+        let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("bshm_ops_decisions_total{algorithm=\"best-fit\"} 1"));
         assert!(text.contains("bshm_ops_machines_scanned_total{algorithm=\"best-fit\"} 2"));

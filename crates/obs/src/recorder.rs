@@ -78,51 +78,13 @@ pub fn bucket_quantile(
 }
 
 /// Adds `src` into `dst` element-wise, growing `dst` if `src` is wider.
-pub fn merge_counts(dst: &mut Vec<u64>, src: &[u64]) {
+fn merge_counts(dst: &mut Vec<u64>, src: &[u64]) {
     if src.len() > dst.len() {
         dst.resize(src.len(), 0);
     }
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = d.saturating_add(s);
     }
-}
-
-/// Sums two open-machine gauge timelines as step functions: the result has
-/// a point at every transition time of either input, holding the per-type
-/// sum of both gauges at that instant (each gauge holds its last value
-/// between its own transitions, and zero before its first).
-#[must_use]
-pub fn merge_gauge_timelines(a: &[GaugePoint], b: &[GaugePoint]) -> Vec<GaugePoint> {
-    if a.is_empty() {
-        return b.to_vec();
-    }
-    if b.is_empty() {
-        return a.to_vec();
-    }
-    let types = a.iter().chain(b).map(|p| p.busy.len()).max().unwrap_or(0);
-    let value_at = |points: &[GaugePoint], t: TimePoint| -> Vec<u32> {
-        match points.partition_point(|p| p.t <= t) {
-            0 => vec![0; types],
-            i => {
-                let mut v = points[i - 1].busy.clone();
-                v.resize(types, 0);
-                v
-            }
-        }
-    };
-    let mut grid: Vec<TimePoint> = a.iter().chain(b).map(|p| p.t).collect();
-    grid.sort_unstable();
-    grid.dedup();
-    grid.into_iter()
-        .map(|t| {
-            let busy: Vec<u32> = value_at(a, t)
-                .iter()
-                .zip(&value_at(b, t))
-                .map(|(&x, &y)| x + y)
-                .collect();
-            GaugePoint { t, busy }
-        })
-        .collect()
 }
 
 /// One step of the per-type open-machine gauge: the busy-machine counts
@@ -136,7 +98,7 @@ pub struct GaugePoint {
 }
 
 /// Aggregated run metrics, folded from the event stream.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Metrics {
     /// The algorithm the metrics describe.
     pub algorithm: String,
@@ -277,57 +239,63 @@ impl Metrics {
         bucket_quantile(&self.ops_hist, ops_bucket_bounds, q)
     }
 
-    /// Folds another run's metrics into this one: counters, costs, sums and
-    /// histograms add; per-type peaks take the max; the gauge timelines are
-    /// summed as step functions over the union of their transition times
-    /// (the merged gauge reads "busy machines across both runs").
-    pub fn merge(&mut self, other: &Metrics) {
-        self.arrivals += other.arrivals;
-        self.departures += other.departures;
-        self.placements += other.placements;
-        self.opened_placements += other.opened_placements;
-        self.reused_placements += other.reused_placements;
-        self.opens += other.opens;
-        self.closes += other.closes;
-        self.traced_cost = self.traced_cost.saturating_add(other.traced_cost);
-        merge_counts(&mut self.cost_by_type, &other.cost_by_type);
-        if other.open_peak_by_type.len() > self.open_peak_by_type.len() {
+    /// The metrics a later stretch of the same run starts from: counters,
+    /// sums, histograms, peaks and the gauge timeline are zeroed, and the
+    /// gap gauge (the last `GapSample`'s lower bound and cost) carries over.
+    pub(crate) fn next_segment(&self) -> Metrics {
+        let mut next = Metrics::new(self.algorithm.clone(), self.cost_by_type.len());
+        next.last_lower_bound = self.last_lower_bound;
+        next.last_attributed_cost = self.last_attributed_cost;
+        next
+    }
+
+    /// Appends `later`, the metrics of the next stretch of the same run:
+    /// counters, costs, sums and histograms add; per-type peaks and the
+    /// max gap ratio take the max; the gauge timeline concatenates; the
+    /// gap gauge reads `later`'s value. Merging the stretches of a run in
+    /// order gives the metrics of the whole run.
+    pub fn merge(&mut self, later: &Metrics) {
+        self.arrivals += later.arrivals;
+        self.departures += later.departures;
+        self.placements += later.placements;
+        self.opened_placements += later.opened_placements;
+        self.reused_placements += later.reused_placements;
+        self.opens += later.opens;
+        self.closes += later.closes;
+        self.traced_cost = self.traced_cost.saturating_add(later.traced_cost);
+        merge_counts(&mut self.cost_by_type, &later.cost_by_type);
+        if later.open_peak_by_type.len() > self.open_peak_by_type.len() {
             self.open_peak_by_type
-                .resize(other.open_peak_by_type.len(), 0);
+                .resize(later.open_peak_by_type.len(), 0);
         }
         for (p, &o) in self
             .open_peak_by_type
             .iter_mut()
-            .zip(&other.open_peak_by_type)
+            .zip(&later.open_peak_by_type)
         {
             *p = (*p).max(o);
         }
-        self.gauge_timeline = merge_gauge_timelines(&self.gauge_timeline, &other.gauge_timeline);
-        merge_counts(&mut self.utilization_hist, &other.utilization_hist);
-        self.utilization_sum += other.utilization_sum;
-        merge_counts(&mut self.decision_ns_hist, &other.decision_ns_hist);
-        self.decision_ns_sum = self.decision_ns_sum.saturating_add(other.decision_ns_sum);
-        self.crashes += other.crashes;
-        self.displaced_jobs += other.displaced_jobs;
-        self.recovered_jobs += other.recovered_jobs;
-        self.dropped_jobs += other.dropped_jobs;
-        self.recovery_ns_sum = self.recovery_ns_sum.saturating_add(other.recovery_ns_sum);
-        self.gap_samples += other.gap_samples;
-        // The merged "last" gauge reads the later contributor's sample.
-        if other.gap_samples > 0 {
-            self.last_lower_bound = other.last_lower_bound;
-            self.last_attributed_cost = other.last_attributed_cost;
-        }
-        if other.max_gap_ratio > self.max_gap_ratio {
-            self.max_gap_ratio = other.max_gap_ratio;
-        }
-        self.ops.fold(&other.ops);
-        merge_counts(&mut self.ops_hist, &other.ops_hist);
-        self.ops_sum = self.ops_sum.saturating_add(other.ops_sum);
-        self.alerts += other.alerts;
-        merge_counts(&mut self.alerts_by_reason, &other.alerts_by_reason);
-        self.tenant_transitions += other.tenant_transitions;
-        self.degradations += other.degradations;
+        self.gauge_timeline.extend_from_slice(&later.gauge_timeline);
+        merge_counts(&mut self.utilization_hist, &later.utilization_hist);
+        self.utilization_sum += later.utilization_sum;
+        merge_counts(&mut self.decision_ns_hist, &later.decision_ns_hist);
+        self.decision_ns_sum = self.decision_ns_sum.saturating_add(later.decision_ns_sum);
+        self.crashes += later.crashes;
+        self.displaced_jobs += later.displaced_jobs;
+        self.recovered_jobs += later.recovered_jobs;
+        self.dropped_jobs += later.dropped_jobs;
+        self.recovery_ns_sum = self.recovery_ns_sum.saturating_add(later.recovery_ns_sum);
+        self.gap_samples += later.gap_samples;
+        self.last_lower_bound = later.last_lower_bound;
+        self.last_attributed_cost = later.last_attributed_cost;
+        self.max_gap_ratio = self.max_gap_ratio.max(later.max_gap_ratio);
+        self.ops.fold(&later.ops);
+        merge_counts(&mut self.ops_hist, &later.ops_hist);
+        self.ops_sum = self.ops_sum.saturating_add(later.ops_sum);
+        self.alerts += later.alerts;
+        merge_counts(&mut self.alerts_by_reason, &later.alerts_by_reason);
+        self.tenant_transitions += later.tenant_transitions;
+        self.degradations += later.degradations;
     }
 
     /// Folds one event into the aggregates. `busy_now` is the caller's
@@ -684,7 +652,7 @@ mod tests {
     use bshm_core::machine::TypeIndex;
     use bshm_core::schedule::MachineId;
 
-    fn feed(rec: &mut Recorder) {
+    fn feed(rec: &mut impl Probe) {
         rec.on_arrival(0, JobId(0), 2);
         rec.on_machine_open(0, MachineId(0), TypeIndex(0));
         rec.on_placement(0, JobId(0), MachineId(0), TypeIndex(0), true, 100, 2, 4);
@@ -849,28 +817,33 @@ mod tests {
 
     #[test]
     fn merge_adds_counts_and_maxes_peaks() {
-        let mut a = Recorder::new("a", 1);
-        feed(&mut a);
-        let mut a = a.into_metrics().unwrap();
-        let mut b = Recorder::new("b", 1);
-        feed(&mut b);
-        let b = b.into_metrics().unwrap();
-        a.merge(&b);
-        assert_eq!(a.arrivals, 4);
-        assert_eq!(a.placements, 4);
-        assert_eq!(a.traced_cost, 36);
-        assert_eq!(a.cost_by_type, vec![36]);
-        // Identical runs overlap exactly: peak doubles is wrong — peaks
-        // max per run; the merged *gauge* doubles instead.
-        assert_eq!(a.open_peak_by_type, vec![1]);
-        assert_eq!(a.utilization_hist.iter().sum::<u64>(), 4);
-        assert_eq!(a.decision_ns_sum, 214);
+        // Cut one run after its placement at t=0: the first stretch opens
+        // the machine, the second fills and closes it.
+        let mut c = crate::probe::Collector::default();
+        feed(&mut c);
+        let whole = crate::replay::metrics_from_events("test", &c.events, 1);
+        let mut busy_now = vec![0];
+        let mut first = Metrics::new("test", 1);
+        for e in &c.events[..3] {
+            first.update(e, &mut busy_now);
+        }
+        let mut second = first.next_segment();
+        for e in &c.events[3..] {
+            second.update(e, &mut busy_now);
+        }
+        assert_eq!((first.arrivals, second.arrivals), (1, 1));
+        assert_eq!(second.open_peak_by_type, vec![0]);
+        first.merge(&second);
+        assert_eq!(first.arrivals, 2);
+        assert_eq!(first.traced_cost, 18);
+        // The peak is the larger stretch's; the gauge timelines append.
+        assert_eq!(first.open_peak_by_type, vec![1]);
         assert_eq!(
-            a.gauge_timeline,
+            first.gauge_timeline,
             vec![
                 GaugePoint {
                     t: 0,
-                    busy: vec![2]
+                    busy: vec![1]
                 },
                 GaugePoint {
                     t: 9,
@@ -878,55 +851,7 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn merge_gauge_timelines_sums_step_functions() {
-        let a = vec![
-            GaugePoint {
-                t: 0,
-                busy: vec![1],
-            },
-            GaugePoint {
-                t: 10,
-                busy: vec![0],
-            },
-        ];
-        let b = vec![
-            GaugePoint {
-                t: 5,
-                busy: vec![2, 1],
-            },
-            GaugePoint {
-                t: 20,
-                busy: vec![0, 0],
-            },
-        ];
-        let merged = merge_gauge_timelines(&a, &b);
-        assert_eq!(
-            merged,
-            vec![
-                GaugePoint {
-                    t: 0,
-                    busy: vec![1, 0]
-                },
-                GaugePoint {
-                    t: 5,
-                    busy: vec![3, 1]
-                },
-                GaugePoint {
-                    t: 10,
-                    busy: vec![2, 1]
-                },
-                GaugePoint {
-                    t: 20,
-                    busy: vec![0, 0]
-                },
-            ]
-        );
-        // Merging with empty is the identity.
-        assert_eq!(merge_gauge_timelines(&[], &a), a);
-        assert_eq!(merge_gauge_timelines(&a, &[]), a);
+        assert_eq!(first, whole);
     }
 
     #[test]

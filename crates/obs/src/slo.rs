@@ -247,7 +247,7 @@ impl SloEngine {
         // pure function of the (integer) histogram, so the cast is stable
         // for identical windows.
         let p99_milli = w.decision_ns_quantile(0.99).map(|q| (q * 1000.0) as u64); // bshm-allow(lossy-cast): fixed-point milli conversion of a bounded quantile
-        if self.latency_baseline_milli.is_none() && w.placements > 0 {
+        if self.latency_baseline_milli.is_none() && w.metrics.placements > 0 {
             self.latency_baseline_milli = p99_milli;
         }
         let mut fires = Vec::new();
@@ -273,11 +273,11 @@ impl SloEngine {
                     }
                 }
                 SloRule::Storm { displaced } => {
-                    if w.displaced_jobs >= displaced {
+                    if w.metrics.displaced_jobs >= displaced {
                         fires.push(AlertFire {
                             reason: AlertReason::DisplacementStorm,
                             window: w.window,
-                            value_milli: w.displaced_jobs.saturating_mul(1000),
+                            value_milli: w.metrics.displaced_jobs.saturating_mul(1000),
                             threshold_milli: displaced.saturating_mul(1000),
                         });
                     }
@@ -292,7 +292,7 @@ impl SloEngine {
                     let (Some(value), Some(threshold)) = (p99_milli, threshold) else {
                         continue;
                     };
-                    if w.placements > 0 && value > threshold {
+                    if w.metrics.placements > 0 && value > threshold {
                         self.latency_streak += 1;
                         if self.latency_streak == windows {
                             fires.push(AlertFire {
@@ -307,11 +307,11 @@ impl SloEngine {
                     }
                 }
                 SloRule::Drops { dropped } => {
-                    if w.dropped_jobs >= dropped {
+                    if w.metrics.dropped_jobs >= dropped {
                         fires.push(AlertFire {
                             reason: AlertReason::DropSurge,
                             window: w.window,
-                            value_milli: w.dropped_jobs.saturating_mul(1000),
+                            value_milli: w.metrics.dropped_jobs.saturating_mul(1000),
                             threshold_milli: dropped.saturating_mul(1000),
                         });
                     }
@@ -491,20 +491,20 @@ impl<P: Probe> HealthProbe<P> {
     }
 
     /// The report [`HealthProbe::into_parts`] would return now, without
-    /// consuming the probe: the in-progress window is evaluated on copies
-    /// of itself and of the engine, so the live fold carries on
-    /// unchanged. Flight-recorder snapshots for alerts on that window are
-    /// not written.
+    /// consuming the probe: the in-progress window is evaluated by a
+    /// copy of the engine, so the live fold carries on unchanged.
+    /// Flight-recorder snapshots for alerts on that window are not
+    /// written.
     #[must_use]
     pub fn settled_report(&self) -> HealthReport {
         let mut report = self.report.clone();
         if self.finished {
             return report;
         }
-        if let Some(last) = self.windows.peek_flush() {
+        if let Some(last) = self.windows.current() {
             report.windows_closed += 1;
             let mut engine = self.engine.clone();
-            for fire in engine.evaluate(&last) {
+            for fire in engine.evaluate(last) {
                 report.alerts.push(AlertRecord::new(last.end, &fire));
             }
         }
@@ -519,12 +519,9 @@ impl<P: Probe> HealthProbe<P> {
         (self.inner, self.report)
     }
 
-    fn close_windows(&mut self, closed: Vec<WindowStats>) {
-        for w in closed {
-            self.report.windows_closed += 1;
-            for fire in self.engine.evaluate(&w) {
-                self.emit(w.end, fire);
-            }
+    fn emit_all(&mut self, fires: Vec<(TimePoint, AlertFire)>) {
+        for (t, fire) in fires {
+            self.emit(t, fire);
         }
     }
 
@@ -536,7 +533,7 @@ impl<P: Probe> HealthProbe<P> {
             value_milli: fire.value_milli,
             threshold_milli: fire.threshold_milli,
         };
-        self.windows.note_alert();
+        self.windows.note_alert(&alert);
         self.flight.push(&alert);
         self.report.alerts.push(AlertRecord::new(t, &fire));
         if let Some(dir) = &self.snapshot_dir {
@@ -555,10 +552,25 @@ impl<P: Probe> HealthProbe<P> {
     }
 }
 
+/// Evaluates one closed window: counts it in `report` and queues what
+/// fires, stamped with the window's end, for [`HealthProbe::emit_all`].
+fn settle(
+    engine: &mut SloEngine,
+    report: &mut HealthReport,
+    w: &WindowStats,
+    fires: &mut Vec<(TimePoint, AlertFire)>,
+) {
+    report.windows_closed += 1;
+    fires.extend(engine.evaluate(w).into_iter().map(|fire| (w.end, fire)));
+}
+
 impl<P: Probe> Probe for HealthProbe<P> {
     fn record(&mut self, event: &TraceEvent) {
-        let closed = self.windows.observe(event);
-        self.close_windows(closed);
+        let mut fires = Vec::new();
+        let (engine, report) = (&mut self.engine, &mut self.report);
+        self.windows
+            .observe(event, |w| settle(engine, report, w, &mut fires));
+        self.emit_all(fires);
         self.flight.push(event);
         self.inner.record(event);
     }
@@ -566,9 +578,11 @@ impl<P: Probe> Probe for HealthProbe<P> {
     fn finish(&mut self) {
         if !self.finished {
             self.finished = true;
+            let mut fires = Vec::new();
             if let Some(last) = self.windows.flush() {
-                self.close_windows(vec![last]);
+                settle(&mut self.engine, &mut self.report, last, &mut fires);
             }
+            self.emit_all(fires);
         }
         self.inner.finish();
     }
