@@ -82,7 +82,7 @@ pub fn m_config_series(instance: &Instance, norm: &NormalizedCatalog) -> MConfig
 
     let mut counts = vec![vec![0u64; m]; nseg];
     for (s, row_counts) in counts.iter_mut().enumerate() {
-        let demands = &dg.demands[s];
+        let demands = dg.row(s);
         let total = load.values[s];
         if total == 0 {
             continue;

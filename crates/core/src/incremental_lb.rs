@@ -10,14 +10,15 @@
 //! [`IncrementalLowerBound`] answers that. It maintains the per-class
 //! active load (the §II nested demands are its suffix sums), the optimal
 //! configuration cost of the *current* demand vector, and the accumulated
-//! integral `∫₀^now optimal_config_cost(D(t)) dt`. Each event advances
-//! time (accumulating the current rate over the elapsed segment), applies
-//! the load delta, and refreshes the rate with one call of the catalog's
-//! [`ConfigCost`] kernel. Demand vectors almost never repeat across a run
-//! (7,291 distinct vectors in 7,360 sweepline segments of a 5,000-job DEC
-//! instance), so there is no memo: an event costs `O(m)` plus the
-//! kernel's residual table, which on DEC catalogs is bounded by the
-//! catalog, not by the load.
+//! integral `∫₀^now optimal_config_cost(D(t)) dt`. An arrival or departure
+//! applies its load delta and only marks the rate stale; the rate is
+//! recomputed, with one call of the catalog's [`ConfigCost`] kernel, when
+//! time next advances over a segment of positive length (or when
+//! [`IncrementalLowerBound::current_rate`] reads it). A burst of events at
+//! one timestamp therefore costs one kernel call, not one per event: kernel
+//! calls track the distinct event times. Each call is `O(m)` plus the
+//! kernel's residual DP, which the kernel memoizes on the residual vector
+//! and which on DEC catalogs is bounded by the catalog, not by the load.
 //!
 //! The accumulated value is exactly the full sweep of the observed prefix:
 //! for any event sequence derived from jobs clipped at the current time,
@@ -27,7 +28,7 @@
 
 use crate::cost::Cost;
 use crate::job::Job;
-use crate::lower_bound::{lower_bound_prefix, ConfigCost};
+use crate::lower_bound::{lower_bound_prefix, ConfigCost, KernelWork};
 use crate::machine::Catalog;
 use crate::time::TimePoint;
 use std::fmt;
@@ -87,7 +88,7 @@ impl std::error::Error for IlbError {}
 /// ilb.arrive(0, 16).unwrap();   // needs the big machine: rate 2
 /// ilb.depart(10, 16).unwrap();  // [0, 10) at rate 2
 /// assert_eq!(ilb.accumulated(), 20);
-/// assert_eq!(ilb.current_rate(), 0);
+/// assert_eq!(ilb.current_rate(), 0);  // refreshed on read
 /// ```
 #[derive(Clone, Debug)]
 pub struct IncrementalLowerBound {
@@ -96,8 +97,11 @@ pub struct IncrementalLowerBound {
     /// jobs whose size class is `c`). The nested demands are its suffix
     /// sums.
     class_load: Vec<u64>,
-    /// Optimal configuration cost rate for the current demand vector.
+    /// Optimal configuration cost rate of the demand vector at the last
+    /// refresh; current unless `stale`.
     rate: Cost,
+    /// Whether the active load changed since `rate` was computed.
+    stale: bool,
     /// `∫₀^now optimal_config_cost(D(t)) dt`, exact.
     accumulated: Cost,
     /// Time of the last processed event.
@@ -117,6 +121,7 @@ impl IncrementalLowerBound {
             catalog: catalog.clone(),
             class_load: vec![0; m],
             rate: 0,
+            stale: false,
             accumulated: 0,
             now: 0,
             kernel: ConfigCost::new(catalog.types()),
@@ -134,10 +139,19 @@ impl IncrementalLowerBound {
     }
 
     /// The optimal configuration cost rate of the current demand vector —
-    /// the slope at which the bound is accruing right now.
+    /// the slope at which the bound is accruing right now. Events only mark
+    /// the rate stale, so this read refreshes it first when needed (one
+    /// kernel call).
     #[must_use]
-    pub fn current_rate(&self) -> Cost {
+    pub fn current_rate(&mut self) -> Cost {
+        self.refresh_if_stale();
         self.rate
+    }
+
+    /// The work the configuration-cost kernel has done so far.
+    #[must_use]
+    pub fn kernel_work(&self) -> KernelWork {
+        self.kernel.work()
     }
 
     /// `∫₀^now optimal_config_cost(D(t)) dt`: the lower bound of the
@@ -162,8 +176,9 @@ impl IncrementalLowerBound {
     }
 
     /// Advances the clock to `t`, accumulating the current rate over the
-    /// elapsed segment, without changing the active set. Events at the
-    /// structure's current time are free.
+    /// elapsed segment, without changing the active set. A stale rate is
+    /// refreshed once before a segment of positive length accrues; events
+    /// at the structure's current time are free.
     ///
     /// # Errors
     /// [`IlbError::TimeRegression`] when `t` precedes the current time.
@@ -174,8 +189,11 @@ impl IncrementalLowerBound {
                 event: t,
             });
         }
-        self.accumulated += self.rate * u128::from(t - self.now);
-        self.now = t;
+        if t > self.now {
+            self.refresh_if_stale();
+            self.accumulated += self.rate * u128::from(t - self.now);
+            self.now = t;
+        }
         Ok(())
     }
 
@@ -193,7 +211,7 @@ impl IncrementalLowerBound {
         if let Some(load) = self.class_load.get_mut(class.0) {
             *load = load.saturating_add(size);
         }
-        self.refresh_rate();
+        self.stale = true;
         Ok(())
     }
 
@@ -218,7 +236,7 @@ impl IncrementalLowerBound {
         *load = load
             .checked_sub(size)
             .ok_or(IlbError::LoadUnderflow { size })?;
-        self.refresh_rate();
+        self.stale = true;
         Ok(())
     }
 
@@ -240,9 +258,12 @@ impl IncrementalLowerBound {
         }
     }
 
-    fn refresh_rate(&mut self) {
-        suffix_sums(&self.class_load, &mut self.row);
-        self.rate = self.kernel.cost(&self.row);
+    fn refresh_if_stale(&mut self) {
+        if self.stale {
+            suffix_sums(&self.class_load, &mut self.row);
+            self.rate = self.kernel.cost(&self.row);
+            self.stale = false;
+        }
     }
 }
 
@@ -258,9 +279,13 @@ fn suffix_sums(class_load: &[u64], out: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::count_u64;
     use crate::instance::Instance;
-    use crate::lower_bound::lower_bound;
+    use crate::lower_bound::{lower_bound, optimal_config_cost};
     use crate::machine::MachineType;
+    use crate::sweep::{event_grid, job_events};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn catalog() -> Catalog {
         Catalog::new(vec![MachineType::new(4, 1), MachineType::new(16, 2)]).unwrap()
@@ -375,5 +400,137 @@ mod tests {
         assert_eq!(ilb.current_rate(), 1);
         ilb.depart(6, 4).unwrap();
         assert_eq!(ilb.accumulated(), 4); // two [t, t+2) spans at rate 1
+    }
+
+    /// After an event: the rate read back (refreshed on read) is the
+    /// kernel's answer for the current demands, and the accumulated bound
+    /// is the full sweep of the arrivals seen so far.
+    fn check(ilb: &mut IncrementalLowerBound, seen: &[Job]) {
+        let want = optimal_config_cost(&ilb.demands(), ilb.catalog.types());
+        assert_eq!(ilb.current_rate(), want, "rate at t={}", ilb.now());
+        ilb.verify_against_full_sweep(seen).unwrap();
+    }
+
+    /// Bursts at one timestamp, with a cancelling departure/arrival pair at
+    /// t=10 and several departures plus arrivals at t=20.
+    fn burst_jobs() -> Vec<Job> {
+        vec![
+            Job::new(0, 3, 0, 15),
+            Job::new(1, 4, 0, 10),
+            Job::new(2, 12, 0, 20),
+            Job::new(3, 4, 10, 30),
+            Job::new(4, 16, 15, 20),
+            Job::new(5, 2, 20, 25),
+            Job::new(6, 1, 20, 25),
+            Job::new(7, 5, 25, 30),
+        ]
+    }
+
+    #[test]
+    fn lazy_refresh_is_exact_through_bursts_and_errors() {
+        let cat = catalog();
+        let jobs = burst_jobs();
+        let mut ilb = IncrementalLowerBound::new(&cat);
+        let mut seen: Vec<Job> = Vec::new();
+        // The rate after the last event at each time.
+        let mut settled = std::collections::BTreeMap::new();
+        for (t, is_arrival, idx) in job_events(&jobs) {
+            let job = jobs[idx];
+            if is_arrival {
+                ilb.arrive(t, job.size).unwrap();
+                seen.push(job);
+            } else {
+                ilb.depart(t, job.size).unwrap();
+            }
+            check(&mut ilb, &seen);
+            settled.insert(t, ilb.current_rate());
+            if t == 10 || t == 20 {
+                // A rejected event in mid-burst changes nothing.
+                let before = (ilb.accumulated(), ilb.demands(), ilb.current_rate());
+                assert_eq!(ilb.arrive(t, 99), Err(IlbError::NoSizeClass { size: 99 }));
+                if ilb.class_load[1] < 16 {
+                    assert_eq!(ilb.depart(t, 16), Err(IlbError::LoadUnderflow { size: 16 }));
+                }
+                assert_eq!(
+                    (ilb.accumulated(), ilb.demands(), ilb.current_rate()),
+                    before
+                );
+                check(&mut ilb, &seen);
+            }
+        }
+        // At t=10 job 1 left and job 3 (same size and class) arrived: the
+        // burst cancels, so the rate is the one before it.
+        assert_eq!(settled[&10], settled[&0]);
+        let inst = Instance::new(jobs.clone(), cat.clone()).unwrap();
+        assert_eq!(ilb.accumulated(), lower_bound(&inst));
+
+        // Without reads in between, the kernel runs once per distinct time
+        // that time advances past, and once more for the final read.
+        let mut lazy = IncrementalLowerBound::new(&cat);
+        for (t, is_arrival, idx) in job_events(&jobs) {
+            if is_arrival {
+                lazy.arrive(t, jobs[idx].size).unwrap();
+            } else {
+                lazy.depart(t, jobs[idx].size).unwrap();
+            }
+        }
+        let times = count_u64(event_grid(&jobs).len());
+        assert_eq!(lazy.kernel_work().calls, times - 1);
+        assert_eq!(lazy.current_rate(), 0);
+        assert_eq!(lazy.kernel_work().calls, times);
+        assert_eq!(lazy.accumulated(), ilb.accumulated());
+    }
+
+    /// `n` jobs with arrival gaps of 0–3 ticks (so events tie), durations
+    /// of 10–60 ticks and sizes up to `top`.
+    fn generated(n: u32, top: u64, seed: u64) -> Vec<Job> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = 0;
+        (0..n)
+            .map(|id| {
+                t += rng.gen_range(0..=3u64);
+                let duration = rng.gen_range(10..=60u64);
+                Job::new(id, rng.gen_range(1..=top), t, t + duration)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernel_calls_track_distinct_times_and_cells_per_call_stay_flat() {
+        let mt = MachineType::new;
+        for types in [
+            vec![mt(4, 1), mt(16, 2), mt(64, 4)],
+            vec![mt(4, 1), mt(16, 8), mt(64, 64)],
+            vec![mt(4, 2), mt(16, 3), mt(64, 16)],
+        ] {
+            let cat = Catalog::new(types).unwrap();
+            let cells_per_call = |n: u32| {
+                let jobs = generated(n, cat.max_capacity(), 7);
+                let mut ilb = IncrementalLowerBound::new(&cat);
+                for (t, is_arrival, idx) in job_events(&jobs) {
+                    if is_arrival {
+                        ilb.arrive(t, jobs[idx].size).unwrap();
+                    } else {
+                        ilb.depart(t, jobs[idx].size).unwrap();
+                    }
+                }
+                assert_eq!(ilb.current_rate(), 0);
+                let work = ilb.kernel_work();
+                let times = count_u64(event_grid(&jobs).len());
+                assert_eq!(work.calls, times, "{cat:?} n={n}");
+                assert!(times < 2 * u64::from(n), "no ties generated");
+                assert_eq!(
+                    ilb.accumulated(),
+                    lower_bound_prefix(&jobs, &cat, TimePoint::MAX)
+                );
+                work.dp_cells as f64 / work.calls as f64
+            };
+            let (small, large) = (cells_per_call(1_000), cells_per_call(8_000));
+            assert!(small > 0.0);
+            assert!(
+                large <= 1.5 * small,
+                "{cat:?}: {large} DP cells per call at 8k vs {small} at 1k"
+            );
+        }
     }
 }

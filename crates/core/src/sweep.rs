@@ -121,25 +121,34 @@ pub fn load_profile(jobs: &[Job]) -> Profile {
 
 /// Per-segment nested demands for the lower bound (§II).
 ///
-/// `demands[s][i]` is `D_{i+1}(t) = s(𝒥_{≥ i+1}(t), t)` on segment `s`: the
-/// total size of active jobs that are too large for machine types below
-/// `i` (0-based), i.e. jobs with `size > g_{i-1}`. `demands[s][0]` is the
-/// total active load. Demands are non-increasing in `i` by construction.
+/// Row `s` (see [`DemandGrid::row`]) holds `D_{i+1}(t) = s(𝒥_{≥ i+1}(t), t)`
+/// on segment `s`: entry `i` is the total size of active jobs that are too
+/// large for machine types below `i` (0-based), i.e. jobs with
+/// `size > g_{i-1}`. Entry 0 is the total active load. Demands are
+/// non-increasing in `i` by construction.
 #[derive(Clone, Debug)]
 pub struct DemandGrid {
     /// Event grid (length `k`).
     pub grid: Vec<TimePoint>,
-    /// `k − 1` rows of `m` nested demands each.
-    pub demands: Vec<Vec<u64>>,
+    /// Row width: the number of machine types.
+    width: usize,
+    /// `k − 1` rows of `width` nested demands each, row-major.
+    demands: Vec<u64>,
 }
 
 impl DemandGrid {
+    /// The nested demands of segment `s`. Panics when `s` is not a segment.
+    #[must_use]
+    pub fn row(&self, s: usize) -> &[u64] {
+        &self.demands[s * self.width..(s + 1) * self.width]
+    }
+
     /// Iterates `(segment interval, demand row)`.
     pub fn segments(&self) -> impl Iterator<Item = (Interval, &[u64])> + '_ {
         self.grid
             .windows(2)
-            .zip(self.demands.iter())
-            .filter_map(|(w, row)| Interval::try_new(w[0], w[1]).map(|iv| (iv, row.as_slice())))
+            .zip(self.demands.chunks_exact(self.width.max(1)))
+            .filter_map(|(w, row)| Interval::try_new(w[0], w[1]).map(|iv| (iv, row)))
     }
 }
 
@@ -148,38 +157,59 @@ impl DemandGrid {
 /// Panics if some job fits no machine type (instances validate this).
 #[must_use]
 pub fn demand_grid(jobs: &[Job], catalog: &Catalog) -> DemandGrid {
+    demand_grid_until(jobs, catalog, TimePoint::MAX)
+}
+
+/// [`demand_grid`] of `jobs` clipped to the horizon `[0, until)`: jobs
+/// arriving at or after `until` are dropped and departures are clamped to
+/// `until`. The clipping happens while the grid is built; no job is copied.
+///
+/// Panics if some kept job fits no machine type.
+#[must_use]
+pub fn demand_grid_until(jobs: &[Job], catalog: &Catalog, until: TimePoint) -> DemandGrid {
     let m = catalog.len();
-    let grid = event_grid(jobs);
+    let clipped = || {
+        jobs.iter()
+            .filter(move |j| j.arrival < until)
+            .map(move |j| (j.arrival, j.departure.min(until), j.size))
+    };
+    let mut grid: Vec<TimePoint> = clipped().flat_map(|(a, d, _)| [a, d]).collect();
+    grid.sort_unstable();
+    grid.dedup();
     let nseg = grid.len().saturating_sub(1);
-    // Per-class load difference arrays.
-    let mut diff = vec![vec![0i128; nseg + 1]; m];
-    for j in jobs {
+    // Per-class load differences, row-major by grid point.
+    let mut diff = vec![0i128; (nseg + 1) * m];
+    for (arrival, departure, size) in clipped() {
         let class = catalog
-            .size_class(j.size)
+            .size_class(size)
             .expect("job fits some machine type") // bshm-allow(no-panic): demand grids are built for validated instances
             .0;
         // bshm-allow(no-panic): the grid is built from these very arrivals
-        let a = grid.binary_search(&j.arrival).expect("arrival on grid");
+        let a = grid.binary_search(&arrival).expect("arrival on grid");
         // bshm-allow(no-panic): the grid is built from these very departures
-        let d = grid.binary_search(&j.departure).expect("departure on grid");
-        diff[class][a] += i128::from(j.size);
-        diff[class][d] -= i128::from(j.size);
+        let d = grid.binary_search(&departure).expect("departure on grid");
+        diff[a * m + class] += i128::from(size);
+        diff[d * m + class] -= i128::from(size);
     }
-    let mut demands = vec![vec![0u64; m]; nseg];
+    let mut demands = vec![0u64; nseg * m];
     let mut acc = vec![0i128; m];
-    for s in 0..nseg {
-        for c in 0..m {
-            acc[c] += diff[c][s];
-            debug_assert!(acc[c] >= 0);
+    for (row, delta) in demands.chunks_exact_mut(m).zip(diff.chunks_exact(m)) {
+        for (a, d) in acc.iter_mut().zip(delta) {
+            *a += d;
+            debug_assert!(*a >= 0);
         }
         // D_{i} = Σ_{c ≥ i} class-load c (suffix sums).
         let mut suffix: i128 = 0;
-        for i in (0..m).rev() {
-            suffix += acc[i];
-            demands[s][i] = u64::try_from(suffix).expect("demand fits u64"); // bshm-allow(no-panic): suffix >= 0 by the debug_assert above; total load fits u64 by instance validation
+        for (out, a) in row.iter_mut().zip(&acc).rev() {
+            suffix += a;
+            *out = u64::try_from(suffix).expect("demand fits u64"); // bshm-allow(no-panic): suffix >= 0 by the debug_assert above; total load fits u64 by instance validation
         }
     }
-    DemandGrid { grid, demands }
+    DemandGrid {
+        grid,
+        width: m,
+        demands,
+    }
 }
 
 #[cfg(test)]
@@ -254,15 +284,33 @@ mod tests {
         let dg = demand_grid(&jobs(), &catalog());
         // At t=8: active jobs sizes 3 (class 0), 5 (class 1), 12 (class 1).
         let s = segment_of(&dg.grid, 8).unwrap();
-        assert_eq!(dg.demands[s], vec![20, 17]);
+        assert_eq!(dg.row(s), [20, 17]);
         // At t=0: only the size-3 job.
         let s0 = segment_of(&dg.grid, 0).unwrap();
-        assert_eq!(dg.demands[s0], vec![3, 0]);
+        assert_eq!(dg.row(s0), [3, 0]);
         // Nestedness: D_i non-increasing in i everywhere.
-        for row in &dg.demands {
+        for (_, row) in dg.segments() {
             for w in row.windows(2) {
                 assert!(w[0] >= w[1]);
             }
+        }
+    }
+
+    #[test]
+    fn clipping_while_building_equals_building_from_clipped_jobs() {
+        for until in [0, 1, 5, 8, 9, 12, 14, 15, 100] {
+            let clipped: Vec<Job> = jobs()
+                .into_iter()
+                .filter(|j| j.arrival < until)
+                .map(|j| Job {
+                    departure: j.departure.min(until),
+                    ..j
+                })
+                .collect();
+            let want = demand_grid(&clipped, &catalog());
+            let got = demand_grid_until(&jobs(), &catalog(), until);
+            assert_eq!(got.grid, want.grid, "until {until}");
+            assert!(got.segments().eq(want.segments()), "until {until}");
         }
     }
 

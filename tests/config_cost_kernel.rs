@@ -8,12 +8,15 @@
 //! force over machine counts on small cases. Catalogs cover the named
 //! families, random DEC and random general catalogs, single types, equal
 //! amortized rates and coprime capacities; demands cover all-zero,
-//! capacity-exact and beyond-16M vectors.
+//! capacity-exact and beyond-16M vectors. A long-lived kernel per catalog
+//! also runs a stream built to hit its residual memo, and must answer every
+//! call as a fresh kernel does.
 
 use bshm::core::lower_bound::{lp_config_cost, optimal_config, optimal_config_cost, ConfigCost};
 use bshm::core::{Cost, MachineType};
 use bshm::workload::catalogs::{
-    dec_geometric, ec2_like_dec, inc_geometric, random_catalog, random_dec_catalog, sawtooth,
+    dec_geometric, ec2_like_dec, ec2_like_inc, inc_geometric, random_catalog, random_dec_catalog,
+    sawtooth,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -325,4 +328,148 @@ fn demands_beyond_sixteen_million_stay_exact() {
         over[0] += 1;
         assert_eq!(kernel.cost(&over), got + 1);
     }
+}
+
+/// `⌈d/G⌉` for the gcd `G` of the capacities.
+fn unit(types: &[MachineType]) -> u64 {
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    types.iter().fold(0, |g, t| gcd(g, t.capacity))
+}
+
+/// A variant of `d` with different raw entries but the same residual
+/// vector after the kernel's normalisation and prebuy, or `None` when the
+/// chosen route leaves `d` unchanged.
+fn same_residual(rng: &mut StdRng, d: &[u64], types: &[MachineType]) -> Option<Vec<u64>> {
+    let mut v = d.to_vec();
+    match rng.gen_range(0..3u32) {
+        // Every requirement grows by whole top machines: the prebuy grows
+        // by the same count and the residue is unchanged.
+        0 => {
+            let k = rng.gen_range(1..=3u64) * types[types.len() - 1].capacity;
+            v.iter_mut().for_each(|x| *x += k);
+        }
+        // Rounding within one gcd unit keeps every `⌈D_i/G⌉`.
+        1 => {
+            let g = unit(types);
+            for x in v.iter_mut().filter(|x| **x > 0) {
+                *x = (x.div_ceil(g) - 1) * g + rng.gen_range(1..=g);
+            }
+        }
+        // Un-nesting: a constraint no larger than a later one folds to the
+        // same suffix maximum whatever its value below that maximum.
+        _ => {
+            for i in 0..v.len() - 1 {
+                let later = v[i + 1..].iter().copied().max().unwrap();
+                if v[i] <= later {
+                    v[i] = rng.gen_range(0..=later);
+                }
+            }
+        }
+    }
+    (v != d).then_some(v)
+}
+
+/// Runs one long-lived kernel over a seeded stream of fresh vectors,
+/// exact repeats, same-residual variants and all-zero rows (`huge` draws
+/// the fresh vectors beyond the dense limit). Every answer must equal a
+/// fresh kernel's and the dense oracle's (the Pareto solver's where the
+/// dense table would not fit). Returns the kernel's memo hits.
+fn memo_stream(types: &[MachineType], rng: &mut StdRng, len: usize, huge: bool) -> u64 {
+    let mut kernel = ConfigCost::new(types);
+    let m = types.len();
+    let top = types[m - 1];
+    let mut history: Vec<(Vec<u64>, Cost)> = Vec::new();
+    for _ in 0..len {
+        let demands = match (rng.gen_range(0..8u32), history.is_empty()) {
+            (0, _) => vec![0; m],
+            (1..=2, false) => history[rng.gen_range(0..history.len())].0.clone(),
+            (3..=4, false) => {
+                let (d, _) = &history[rng.gen_range(0..history.len())];
+                same_residual(rng, d, types).unwrap_or_else(|| d.clone())
+            }
+            _ if huge => {
+                let d0 = rng.gen_range(16_000_001..=90_000_000u64);
+                let mut d: Vec<u64> = (0..m).map(|_| rng.gen_range(0..=d0)).collect();
+                d[0] = d0;
+                d.sort_unstable_by(|a, b| b.cmp(a));
+                d
+            }
+            _ if rng.gen_range(0..2u32) == 0 => capacity_exact(rng, types),
+            _ => {
+                let scale = [top.capacity / 2 + 1, 3 * top.capacity][rng.gen_range(0..2)];
+                random_demands(rng, m, scale)
+            }
+        };
+        let got = kernel.cost(&demands);
+        assert_eq!(
+            got,
+            optimal_config_cost(&demands, types),
+            "fresh: {types:?} {demands:?}"
+        );
+        let max = demands.iter().copied().max().unwrap_or(0);
+        let oracle = if max <= 200_000 {
+            dense_oracle(&demands, types)
+        } else {
+            optimal_config(&demands, types).0
+        };
+        assert_eq!(got, oracle, "oracle: {types:?} {demands:?}");
+        history.push((demands, got));
+    }
+    // The top-machine shift changes the answer by exactly the bought
+    // machines even though the residual, and so the memo entry, is shared
+    // (the stream is shorter than the memo's cap, so nothing was evicted).
+    for (d, cost) in history.iter().take(40) {
+        let k = rng.gen_range(1..=3u64);
+        let shifted: Vec<u64> = d.iter().map(|x| x + k * top.capacity).collect();
+        let want = cost + u128::from(k * top.rate);
+        let cells = kernel.work().dp_cells;
+        assert_eq!(
+            kernel.cost(&shifted),
+            want,
+            "shift: {types:?} {d:?} +{k}·top"
+        );
+        assert_eq!(want, optimal_config_cost(&shifted, types));
+        // `d` already stored this residual, so the DP must not run again.
+        assert_eq!(kernel.work().dp_cells, cells, "shift reran the DP: {d:?}");
+    }
+    kernel.work().memo_hits
+}
+
+#[test]
+fn the_residual_memo_answers_as_a_fresh_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut catalogs = vec![
+        dec_geometric(4, 4),
+        dec_geometric(3, 1),
+        inc_geometric(4, 4),
+        inc_geometric(3, 3),
+        sawtooth(4, 4),
+        sawtooth(3, 1),
+        ec2_like_dec(),
+        ec2_like_inc(),
+    ];
+    for m in 1..=4 {
+        catalogs.push(random_dec_catalog(&mut rng, m, 2));
+        catalogs.push(random_catalog(&mut rng, m, 3));
+    }
+    for catalog in &catalogs {
+        let hits = memo_stream(catalog.types(), &mut rng, 300, false);
+        // One type: the prebuy covers everything and no residue is left.
+        assert!(
+            hits > 0 || catalog.len() == 1,
+            "{catalog:?}: the stream never hit the memo"
+        );
+    }
+    // Residues beyond the dense limit take the Pareto path through the memo.
+    let coprime = [
+        MachineType::new(1_000_003, 1),
+        MachineType::new(3_000_017, 5),
+    ];
+    assert!(memo_stream(&coprime, &mut rng, 60, true) > 0);
 }
