@@ -73,7 +73,6 @@ fn dec_offline_inner(
     log: &mut DecisionLog,
 ) -> Schedule {
     assert!(depth >= 1, "strip depth must be at least 1");
-    let _span = bshm_obs::span::span("algos::dec_offline");
     let norm = NormalizedCatalog::from_catalog(instance.catalog());
     let m = norm.len();
     let mut schedule = Schedule::new();

@@ -36,7 +36,6 @@ pub fn general_offline_logged(
     order: PlacementOrder,
     log: &mut DecisionLog,
 ) -> Schedule {
-    let _span = bshm_obs::span::span("algos::general_offline");
     let norm = NormalizedCatalog::from_catalog(instance.catalog());
     let forest = TypeForest::build(&norm);
     let m = norm.len();

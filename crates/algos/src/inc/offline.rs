@@ -29,7 +29,6 @@ pub fn inc_offline_logged(
     order: PlacementOrder,
     log: &mut DecisionLog,
 ) -> Schedule {
-    let _span = bshm_obs::span::span("algos::inc_offline");
     let catalog = instance.catalog();
     let mut classes: Vec<Vec<Job>> = vec![Vec::new(); catalog.len()];
     for job in instance.jobs() {
@@ -67,7 +66,6 @@ pub fn partitioned_ffd(instance: &Instance) -> Schedule {
 /// [`crate::dbp::offline_first_fit_logged`] for the fit-scan rules).
 #[must_use]
 pub fn partitioned_ffd_logged(instance: &Instance, log: &mut DecisionLog) -> Schedule {
-    let _span = bshm_obs::span::span("algos::partitioned_ffd");
     let catalog = instance.catalog();
     let mut classes: Vec<Vec<Job>> = vec![Vec::new(); catalog.len()];
     for job in instance.jobs() {

@@ -157,8 +157,6 @@ pub struct DriftInputs {
     pub baseline_rs: String,
     /// `EXPERIMENTS.md`.
     pub experiments_md: String,
-    /// Committed `BENCH_*.json` files as `(name, contents)`.
-    pub bench_jsons: Vec<(String, String)>,
     /// `ANALYZE_RULES.json` — the committed rule manifest.
     pub rules_manifest: String,
     /// `crates/bench/src/bin/reproduce.rs` — the EXPERIMENTS.md generator.
@@ -184,7 +182,6 @@ impl DriftInputs {
             readme: read("README.md")?,
             baseline_rs: read("crates/bench/src/baseline.rs")?,
             experiments_md: read("EXPERIMENTS.md")?,
-            bench_jsons: walk::bench_baselines(root),
             rules_manifest: read("ANALYZE_RULES.json")?,
             reproduce_rs: read("crates/bench/src/bin/reproduce.rs")?,
         })
@@ -207,7 +204,6 @@ impl DriftInputs {
         out.extend(drift::audit_bench_schema(
             &self.baseline_rs,
             &self.experiments_md,
-            &self.bench_jsons,
         ));
         out.extend(drift::audit_rules_manifest(
             &self.rules_manifest,

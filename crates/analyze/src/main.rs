@@ -66,7 +66,7 @@ fn run() -> Result<bool, String> {
                     ("drift/trace-schema", "drift: TraceEvent variants vs replay/recorder, Metrics fields vs prometheus encoder"),
                     ("drift/prometheus", "drift: Metrics fields vs the Prometheus exposition (reported under trace-schema's auditor)"),
                     ("drift/cli", "drift: dispatch match vs USAGE vs README vs args.rs switches"),
-                    ("drift/bench-schema", "drift: SCHEMA_VERSION vs EXPERIMENTS.md vs committed BENCH_*.json"),
+                    ("drift/bench-schema", "drift: bench SCHEMA_VERSION vs EXPERIMENTS.md"),
                     ("drift/rules-manifest", "drift: rule registry vs committed ANALYZE_RULES.json vs EXPERIMENTS.md taxonomy vs reproduce generator"),
                 ];
                 // Every auditor slug gets a line, and vice versa — the

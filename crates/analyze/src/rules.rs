@@ -36,7 +36,7 @@ pub const RULES: [RuleInfo; 15] = [
     },
     RuleInfo {
         name: "wall-clock",
-        summary: "no Instant::now/SystemTime::now outside obs::span (timing goes through the span/clock layer; for machine-independent profiles prefer the deterministic OpCounter columns from `bshm xray`)",
+        summary: "no Instant::now/SystemTime::now outside obs::clock (the one clock read, which times placement decisions; for machine-independent profiles prefer the deterministic OpCounter columns from `bshm xray`)",
     },
     RuleInfo {
         name: "no-print",
@@ -108,7 +108,7 @@ pub fn check_file(ctx: &FileContext, toks: &[Tok], in_test: &[bool]) -> Vec<Diag
         out.extend(shared_mutable_static(ctx, toks, &live));
     }
     out.extend(float_eq(ctx, toks, &live));
-    if !ctx.path.ends_with("obs/src/span.rs") {
+    if !ctx.path.ends_with("obs/src/clock.rs") {
         out.extend(wall_clock(ctx, toks, &live));
     }
     if ctx.path.ends_with("core/src/schedule.rs") || ctx.path.ends_with("core/src/cost.rs") {
@@ -764,7 +764,7 @@ fn lossy_cast(ctx: &FileContext, toks: &[Tok], live: &dyn Fn(usize) -> bool) -> 
     out
 }
 
-/// `wall-clock`: direct clock reads outside the span layer.
+/// `wall-clock`: direct clock reads outside `obs::clock`.
 fn wall_clock(ctx: &FileContext, toks: &[Tok], live: &dyn Fn(usize) -> bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -780,7 +780,7 @@ fn wall_clock(ctx: &FileContext, toks: &[Tok], live: &dyn Fn(usize) -> bool) -> 
                 &ctx.path,
                 t.line,
                 format!(
-                    "{}::now() outside obs::span; use bshm_obs::span::now() so timing stays mockable and replay-safe",
+                    "{}::now() outside obs::clock; use bshm_obs::clock::now() so timing stays mockable and replay-safe",
                     t.text
                 ),
             ));
@@ -1006,7 +1006,9 @@ mod tests {
             "fn f() { let t = std::time::SystemTime::now(); }",
         );
         assert!(d.iter().any(|d| d.rule == "wall-clock"), "{d:?}");
-        assert!(check("crates/obs/src/span.rs", src).is_empty());
+        assert!(check("crates/obs/src/clock.rs", src).is_empty());
+        let d = check("crates/obs/src/span.rs", src);
+        assert!(d.iter().any(|d| d.rule == "wall-clock"), "{d:?}");
     }
 
     #[test]

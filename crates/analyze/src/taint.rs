@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 /// Kinds of nondeterminism sources the engine recognizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum SourceKind {
-    /// `Instant::now`/`SystemTime::now` outside the sanctioned span layer.
+    /// `Instant::now`/`SystemTime::now` outside the sanctioned `obs::clock`.
     WallClock,
     /// `thread_rng`/`from_entropy`/`OsRng`/`rand::random` — RNG without a
     /// seed recorded in the instance.
@@ -400,8 +400,8 @@ fn collect_sources(files: &[ParsedFile], graph: &CallGraph) -> Vec<SourceSite> {
                         .is_some_and(|n| tail.iter().any(|m| n.is_ident(m)))
             };
             let seg2 = |i: usize| pf.code.get(i + 2).map_or(String::new(), |n| n.text.clone());
-            // Wall-clock — except the sanctioned span boundary.
-            if !pf.rel.ends_with("obs/src/span.rs")
+            // Wall-clock — except the sanctioned clock module.
+            if !pf.rel.ends_with("obs/src/clock.rs")
                 && (path2("Instant", &["now"]) || path2("SystemTime", &["now"]))
             {
                 push(

@@ -52,25 +52,6 @@ pub fn rel(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Committed `BENCH_*.json` baselines at the workspace root.
-#[must_use]
-pub fn bench_baselines(root: &Path) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let Ok(entries) = fs::read_dir(root) else {
-        return out;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            if let Ok(text) = fs::read_to_string(entry.path()) {
-                out.push((name, text));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +94,5 @@ mod tests {
         let rels: Vec<String> = rust_files(&root).iter().map(|p| rel(&root, p)).collect();
         fs::remove_dir_all(&root).unwrap();
         assert_eq!(rels, ["member/src/lib.rs", "src/lib.rs"]);
-    }
-
-    #[test]
-    fn finds_committed_baselines() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let baselines = bench_baselines(&root);
-        assert!(baselines.iter().any(|(n, _)| n.starts_with("BENCH_")));
     }
 }

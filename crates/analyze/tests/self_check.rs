@@ -245,8 +245,8 @@ fn drift_auditor_fails_on_schema_version_bump() {
     let root = workspace_root();
     let mut inputs = DriftInputs::load(&root).expect("artifacts readable");
     let bumped = inputs.baseline_rs.replace(
-        "pub const SCHEMA_VERSION: u64 = 6;",
         "pub const SCHEMA_VERSION: u64 = 7;",
+        "pub const SCHEMA_VERSION: u64 = 8;",
     );
     assert_ne!(bumped, inputs.baseline_rs, "mutation must actually apply");
     inputs.baseline_rs = bumped;

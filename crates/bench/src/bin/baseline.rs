@@ -1,144 +1,81 @@
-//! `baseline` — the performance observatory's benchmark baseline runner
-//! and regression gate.
+//! `baseline` — runs the performance observatory's deterministic suite
+//! and gates it.
 //!
 //! ```text
-//! baseline run [--quick] [--label NAME] [--out FILE] [--compare] [--threshold X]
-//! baseline compare OLD.json NEW.json [--threshold X]
+//! baseline [--quick] [--out FILE]
 //! ```
 //!
-//! `run` pushes the deterministic workload suite through all registered
-//! schedulers and writes a schema-versioned `BENCH_<label>.json` (default
-//! `BENCH_PR3.json` at the current directory); with `--compare` it then
-//! diffs against the most recent prior `BENCH_*.json` it can find and
-//! exits non-zero if any gated metric regressed past the threshold
-//! (default 1.5x) or the NoProbe overhead bound is breached.
-//! `compare` diffs two existing reports.
+//! Pushes the deterministic workload suite through all registered
+//! schedulers and, with `--out`, writes the schema-versioned report to
+//! `FILE`. A `--quick` run is checked against the committed answers golden
+//! (`crates/bench/golden/quick_answers.txt`), the same check the tier-1
+//! test runs. Exits 1 when any answer differs or the NoProbe overhead
+//! bound is breached, and 2 on a usage or write error.
 
-use bshm_bench::baseline::{
-    compare, find_previous_baseline, load_report, run_suite, write_report, DEFAULT_THRESHOLD,
-};
+use bshm_bench::baseline::{gate, run_suite, write_report};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = run(args, &mut std::io::stdout(), &mut std::io::stderr());
+    let code = run(&args, &mut std::io::stdout(), &mut std::io::stderr());
     std::process::exit(code);
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "usage: baseline [--quick] [--out FILE]";
 
 /// Runs the baseline harness; returns the process exit code.
-fn run(args: Vec<String>, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
-    let threshold = match flag_value(&args, "--threshold")
-        .map(|v| v.parse::<f64>())
-        .transpose()
-    {
-        Ok(t) => t.unwrap_or(DEFAULT_THRESHOLD),
-        Err(_) => {
-            let _ = writeln!(err, "--threshold expects a number");
+fn run(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
+    let mut quick = false;
+    let mut out_path = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" if !quick => quick = true,
+            "--out" if out_path.is_none() => {
+                let Some(path) = rest.next() else {
+                    let _ = writeln!(err, "--out expects a file\n{USAGE}");
+                    return 2;
+                };
+                out_path = Some(PathBuf::from(path));
+            }
+            _ => {
+                let _ = writeln!(err, "unexpected argument `{arg}`\n{USAGE}");
+                return 2;
+            }
+        }
+    }
+    let _ = writeln!(
+        err,
+        "running baseline suite ({} mode)…",
+        if quick { "quick" } else { "full" }
+    );
+    let report = run_suite(quick);
+    if let Some(path) = &out_path {
+        if let Err(e) = write_report(&report, path) {
+            let _ = writeln!(err, "error: {e}");
             return 2;
         }
-    };
-    match args.first().map(String::as_str) {
-        Some("run") => {
-            let quick = args.iter().any(|a| a == "--quick");
-            let label = flag_value(&args, "--label").unwrap_or_else(|| "PR3".to_string());
-            let out_path = PathBuf::from(
-                flag_value(&args, "--out").unwrap_or_else(|| format!("BENCH_{label}.json")),
-            );
-            let _ = writeln!(
-                err,
-                "running baseline suite ({} mode)…",
-                if quick { "quick" } else { "full" }
-            );
-            let report = run_suite(quick, &label);
-            if let Err(e) = write_report(&report, &out_path) {
-                let _ = writeln!(err, "error: {e}");
-                return 2;
+        let _ = writeln!(out, "wrote {}", path.display());
+    }
+    let probe = &report.probe_overhead;
+    let _ = writeln!(
+        out,
+        "probe overhead: NoProbe {:.2}x uninstrumented (bound {:.2}x, {})",
+        probe.factor,
+        probe.bound,
+        if probe.within_bound { "ok" } else { "BREACHED" }
+    );
+    match gate(&report) {
+        Ok(()) => {
+            if quick {
+                let _ = writeln!(out, "answers: identical to golden/quick_answers.txt");
             }
-            let _ = writeln!(out, "wrote {}", out_path.display());
-            let _ = writeln!(
-                out,
-                "probe overhead: NoProbe {:.2}x uninstrumented (bound {:.2}x, {})",
-                report.probe_overhead.factor,
-                report.probe_overhead.bound,
-                if report.probe_overhead.within_bound {
-                    "ok"
-                } else {
-                    "BREACHED"
-                }
-            );
-            let mut failed = !report.probe_overhead.within_bound;
-            if args.iter().any(|a| a == "--compare") {
-                let dir = out_path
-                    .parent()
-                    .filter(|p| !p.as_os_str().is_empty())
-                    .unwrap_or(Path::new("."));
-                match find_previous_baseline(dir, Some(&out_path)) {
-                    None => {
-                        let _ = writeln!(out, "no prior BENCH_*.json found; nothing to compare");
-                    }
-                    Some(prev) => {
-                        let _ = writeln!(out, "comparing against {}", prev.display());
-                        match load_report(&prev) {
-                            Err(e) => {
-                                let _ = writeln!(err, "error: {e}");
-                                return 2;
-                            }
-                            Ok(old) => {
-                                let cmp = compare(&old, &report, threshold);
-                                let _ = write!(out, "{}", cmp.render());
-                                failed |= !cmp.passed();
-                            }
-                        }
-                    }
-                }
-            }
-            i32::from(failed)
+            0
         }
-        Some("compare") => {
-            let paths: Vec<&String> = args
-                .iter()
-                .skip(1)
-                .filter(|a| {
-                    !a.starts_with("--")
-                        && Some(a.as_str()) != flag_value(&args, "--threshold").as_deref()
-                })
-                .collect();
-            let [old_path, new_path] = paths.as_slice() else {
-                let _ = writeln!(
-                    err,
-                    "usage: baseline compare OLD.json NEW.json [--threshold X]"
-                );
-                return 2;
-            };
-            let (old, new) = match (
-                load_report(Path::new(old_path)),
-                load_report(Path::new(new_path)),
-            ) {
-                (Ok(o), Ok(n)) => (o, n),
-                (Err(e), _) | (_, Err(e)) => {
-                    let _ = writeln!(err, "error: {e}");
-                    return 2;
-                }
-            };
-            let cmp = compare(&old, &new, threshold);
-            let _ = write!(out, "{}", cmp.render());
-            i32::from(!cmp.passed())
-        }
-        _ => {
-            let _ = writeln!(
-                err,
-                "usage: baseline run [--quick] [--label NAME] [--out FILE] [--compare] [--threshold X]\n\
-                 \x20      baseline compare OLD.json NEW.json [--threshold X]"
-            );
-            2
+        Err(e) => {
+            let _ = writeln!(out, "{e}");
+            1
         }
     }
 }
@@ -148,93 +85,56 @@ mod tests {
     use super::*;
     use bshm_bench::baseline::BaselineReport;
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("bshm-baseline-bin").join(name);
-        let _ = std::fs::remove_dir_all(&dir);
+    #[test]
+    fn quick_run_writes_report_and_compare_gates_regressions() {
+        let dir = std::env::temp_dir().join(format!("bshm-baseline-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        let out_path = dir.join("quick.json");
+        let args = ["--quick", "--out", &out_path.to_string_lossy()].map(String::from);
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = run(&args, &mut out, &mut err);
+        let rendered = String::from_utf8(out).unwrap();
+        assert_eq!(code, 0, "{rendered}{}", String::from_utf8_lossy(&err));
+        assert!(rendered.contains("answers: identical"), "{rendered}");
+
+        // The written report reads back and passes the gate as it stands.
+        let text = std::fs::read_to_string(&out_path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let report: BaselineReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(report.workloads.len(), 3);
+        assert_eq!(gate(&report), Ok(()));
+
+        // One more unit of cost is a regression the gate names.
+        let mut worse = report.clone();
+        worse.workloads[0].algorithms[0].cost += 1;
+        let e = gate(&worse).unwrap_err();
+        let key = format!(
+            "{}/{} cost: golden ",
+            worse.workloads[0].workload, worse.workloads[0].algorithms[0].alg
+        );
+        assert!(e.contains(&key), "{e}");
     }
 
     #[test]
     fn usage_on_no_subcommand() {
-        let (mut out, mut err) = (Vec::new(), Vec::new());
-        assert_eq!(run(vec![], &mut out, &mut err), 2);
-        assert!(String::from_utf8(err).unwrap().contains("usage"));
-    }
-
-    #[test]
-    fn quick_run_writes_report_and_compare_gates_regressions() {
-        let dir = tmp_dir("roundtrip");
-        let out_path = dir.join("BENCH_PR3.json");
-        let (mut out, mut err) = (Vec::new(), Vec::new());
-        let code = run(
-            vec![
-                "run".into(),
-                "--quick".into(),
-                "--out".into(),
-                out_path.to_string_lossy().into_owned(),
-            ],
-            &mut out,
-            &mut err,
-        );
-        assert_eq!(code, 0, "{}", String::from_utf8_lossy(&err));
-        let report = load_report(&out_path).unwrap();
-        assert_eq!(report.workloads.len(), 3);
-
-        // Inject a synthetic 2x decision-latency regression and require
-        // the comparator to reject it at the default 1.5x threshold.
-        let mut worse: BaselineReport = report.clone();
-        for w in &mut worse.workloads {
-            for a in &mut w.algorithms {
-                a.decision_ns_p95 *= 2.0;
-                a.decision_ns_p99 *= 2.0;
-            }
+        // The binary takes no subcommand: the retired `run` and `compare`
+        // and their flags are usage errors, reported before any suite work
+        // starts.
+        for args in [
+            &["compare", "a.json", "b.json"][..],
+            &["run", "--quick"],
+            &["--quick", "--threshold", "1.5"],
+            &["--quick", "--quick"],
+            &["--out"],
+            &["--out", "a.json", "--out", "b.json"],
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let (mut out, mut err) = (Vec::new(), Vec::new());
+            assert_eq!(run(&args, &mut out, &mut err), 2, "{args:?}");
+            assert!(
+                String::from_utf8(err).unwrap().contains("usage"),
+                "{args:?}"
+            );
         }
-        let worse_path = dir.join("BENCH_worse.json");
-        bshm_bench::baseline::write_report(&worse, &worse_path).unwrap();
-        let (mut out, mut err) = (Vec::new(), Vec::new());
-        let code = run(
-            vec![
-                "compare".into(),
-                out_path.to_string_lossy().into_owned(),
-                worse_path.to_string_lossy().into_owned(),
-            ],
-            &mut out,
-            &mut err,
-        );
-        assert_eq!(code, 1, "{}", String::from_utf8_lossy(&err));
-        let rendered = String::from_utf8(out).unwrap();
-        assert!(rendered.contains("REGRESSION"), "{rendered}");
-        assert!(rendered.contains("FAIL"), "{rendered}");
-
-        // The identical report passes and exits 0.
-        let (mut out, mut err) = (Vec::new(), Vec::new());
-        let code = run(
-            vec![
-                "compare".into(),
-                out_path.to_string_lossy().into_owned(),
-                out_path.to_string_lossy().into_owned(),
-            ],
-            &mut out,
-            &mut err,
-        );
-        assert_eq!(code, 0, "{}", String::from_utf8_lossy(&err));
-        assert!(String::from_utf8(out).unwrap().contains("PASS"));
-    }
-
-    #[test]
-    fn compare_rejects_missing_files() {
-        let (mut out, mut err) = (Vec::new(), Vec::new());
-        let code = run(
-            vec![
-                "compare".into(),
-                "/nonexistent/a.json".into(),
-                "/nonexistent/b.json".into(),
-            ],
-            &mut out,
-            &mut err,
-        );
-        assert_eq!(code, 2);
-        assert!(String::from_utf8(err).unwrap().contains("error"));
     }
 }

@@ -11,11 +11,6 @@
 //! `bench_results/<id>.json` and `bench_results/<id>.md`. With
 //! `--update-experiments`, the measured tables are assembled into
 //! `EXPERIMENTS.md` (paper claim vs measured, per experiment).
-//!
-//! Hot-path span timing (`bshm_obs::span`) is enabled for the whole run, so
-//! every table — and its JSON — carries a `spans` breakdown of where the
-//! experiment spent its time (`core::lower_bound`, `algos::dec_offline`,
-//! `sim::on_arrival`, …).
 
 use bshm_bench::table::Table;
 use bshm_bench::{run_experiment, ALL_EXPERIMENTS};
@@ -48,14 +43,11 @@ fn run(mut args: Vec<String>, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
         // bshm-allow(taint-path): selects only WHERE reports are written; table contents are seed-deterministic
         std::env::var("BSHM_RESULTS_DIR").unwrap_or_else(|_| "bench_results".to_string()),
     );
-    // Time the hot paths so each table's JSON gains a span breakdown.
-    bshm_obs::span::set_enabled(true);
-    let _ = bshm_obs::span::take(); // discard anything recorded before us
     let mut failed = false;
     let mut tables: Vec<Table> = Vec::new();
     for id in ids {
-        let Some(mut table) = ({
-            let start = bshm_obs::span::now();
+        let Some(table) = ({
+            let start = bshm_obs::clock::now();
             let t = run_experiment(&id);
             if let Some(t) = &t {
                 let _ = writeln!(
@@ -71,7 +63,6 @@ fn run(mut args: Vec<String>, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
             failed = true;
             continue;
         };
-        table.spans = bshm_obs::span::take();
         let _ = writeln!(out, "{}", table.render());
         if let Err(e) = table.write_json(&out_dir) {
             let _ = writeln!(err, "warning: could not write JSON for {}: {e}", table.id);
@@ -124,25 +115,28 @@ fn experiments_md(tables: &[Table]) -> String {
     // EXPERIMENTS.md (the drift auditor reads the schema_version literal
     // out of the file, so regeneration must not lose it).
     out.push_str(
-        r#"## Performance observatory (baselines & regression gating)
+        r#"## Performance observatory (counts baseline & answers golden)
 
-Besides the claim tables below, the harness keeps a performance
-baseline: `BENCH_*.json` at the repo root, regenerated with
+Besides the claim tables below, the harness keeps a counts-only
+baseline of every registered scheduler, run with
 
 ```sh
-cargo run --release -p bshm-bench --bin baseline -- run --out BENCH_PR10.json
+cargo run --release -p bshm-bench --bin baseline -- --quick
 ```
 
-The report is schema-versioned (currently `schema_version = 6`; the
+The report (written with `--out FILE`) is schema-versioned (currently
+`schema_version = 7`; the
 constant lives in `crates/bench/src/baseline.rs` and `bshm-analyze`
 fails CI if this paragraph drifts from it) and records, for
 each deterministic suite workload (`dec-poisson-uniform`,
 `inc-diurnal-pareto`, `gen-bimodal-vmsizes`) and each of the twelve
-registered schedulers: `wall_ns` (end-to-end wall clock),
-`decision_ns_p50/p95/p99` (histogram-estimated placement latency),
-`peak_open_by_type`, `cost` + `ratio` vs the §II lower bound, and a
-per-run `spans` breakdown. `probe_overhead` stores the asserted
-NoProbe-vs-uninstrumented driver factor and its bound. Schema v2
+registered schedulers, only columns that a run reproduces exactly on
+any machine: `peak_open_by_type`, `cost` + `ratio` vs the §II lower
+bound, `placements`, and `schedule_digest` (FNV-1a of the schedule's
+JSON, which pins every placement directly). `probe_overhead` stores
+the asserted NoProbe-vs-uninstrumented driver factor and its bound: a
+ratio of two timings taken in the same run, so the bound holds on any
+machine. Schema v2
 added two recovery-overhead columns measured in a separate faulted
 run (fixed plan `seeded:1313:3`, same-type recovery): `displaced_jobs`
 (jobs knocked off crashed machines) and `recovery_cost_ratio`
@@ -154,30 +148,24 @@ by the attribution-exactness invariant, recorded independently as a
 cross-check) and `max_gap_ratio` (the worst instantaneous
 cost-over-bound ratio across all gap samples in the run).
 Schema v4 added four decision x-ray columns from a separate run under
-the x-ray driver (`bshm xray` / `registry::run_xray`, so decision-latency
-columns are never inflated by the extra bookkeeping):
+the x-ray driver (`bshm xray` / `registry::run_xray`):
 `ops_per_decision_p50/p95/p99` (histogram-estimated operations —
 machines scanned + capacity comparisons — per placement decision) and
-`total_scan_ops` (the run's total scan work, an exact integer).
-Unlike the `*_ns` columns these are deterministic counters derived
-from control flow, so they compare exactly across machines; the
-comparator gates them at the timing threshold whenever job counts
-match.
-Schema v5 added two live-health-plane columns from the same traced
-run, now driven through `HealthProbe` under the default SLO spec:
-`alerts_fired` (alerts raised over the run — the engine's rules read
-only the event clock and fixed-point milli values, so the count is
-deterministic per workload/algorithm and any growth on the same
-workload gates exactly like `cost`) and `windowed_p99_ns` (the worst
-per-window decision-latency p99 from the rolling-window fold —
-wall-clock, gated at the timing threshold on matching job counts).
+`total_scan_ops` (the run's total scan work, an exact integer). They
+are counters derived from control flow, not clocks.
+Schema v5 added `alerts_fired` from the same traced run, now driven
+through `HealthProbe` under the default SLO spec: alerts raised over
+the run. The engine's rules read only the event clock and fixed-point
+milli values, so the count is deterministic per workload/algorithm.
 Schema v6 added the resident-service `service` section: the verdicts
 of both `bshm drill` robustness drills (`crash_recovery_passed`,
-`overload_passed`, `restore_ok` — a failed drill regresses regardless
-of the prior report) plus deterministic counters from a fixed
-pressure scenario (`overloads`, `sheds`, `final_rung`, `rung_name`).
-Everything in the section rides the event clock and seeded fault
-plans, so counter growth gates exactly like `cost`.
+`overload_passed`, `restore_ok`) plus deterministic counters from a
+fixed pressure scenario (`overloads`, `sheds`, `final_rung`,
+`rung_name`). Everything in the section rides the event clock and
+seeded fault plans.
+Schema v7 dropped the wall-clock columns (`wall_ns`,
+`decision_ns_p50/p95/p99`, `windowed_p99_ns`, `spans`) and added
+`schedule_digest`.
 
 **Cost-attribution rule** (`bshm gap-report`, `bshm_obs::CostLedger`):
 the job whose placement opens a machine pays the opening busy-time
@@ -241,14 +229,16 @@ decisions; restore replays the prefix, verifies every decision
 matches, and continues — producing a final schedule and trace suffix
 byte-identical to the uninterrupted run.
 
-To read a regression report (`baseline compare OLD NEW`, or
-`run --compare` against the most recent prior `BENCH_*.json`): each
-row is `workload/alg/metric` with old/new values and the growth
-factor; rows marked `<< REGRESSION` breached the gate (timing
-metrics: factor over the `--threshold`, default 1.5x, only when job
-counts match; `cost`: any growth on the same workload; probe
-overhead: factor over its recorded bound). `FAIL:` lines repeat the
-breaches and the binary exits non-zero — this is the CI gate.
+To read a gate failure: `baseline --quick` and the tier-1 test
+`quick_suite_measures_every_algorithm` compare every deterministic
+column with `crates/bench/golden/quick_answers.txt`, exactly and in
+both directions. Each failing line names one `scope column` with the
+golden and the run's value; the message then prints the run's full
+answers, to paste over the golden only when an answer is meant to
+change. The binary also exits non-zero when the probe bound is
+breached. Wall-clock time is gated apart from this, in CI, by
+`ci/clock_gate.py`: it runs `perfbench` built at the merge base and at
+the head in alternating pairs on one machine.
 "#,
     );
     out.push_str(
@@ -313,7 +303,7 @@ the build (`drift/rules-manifest`).
 | `no-panic` | no unwrap/expect/panic! in library-crate code |
 | `float-eq` | no exact `==`/`!=` on float expressions |
 | `lossy-cast` | no raw `as` casts to integer types in library crates |
-| `wall-clock` | no Instant/SystemTime reads outside `obs::span` |
+| `wall-clock` | no Instant/SystemTime reads outside `obs::clock` |
 | `no-print` | no console output from library crates |
 | `must-use-accessor` | value-returning core accessors are `#[must_use]` |
 | `no-raw-trace-write` | trace-shaped output goes through the crash-safe sink |

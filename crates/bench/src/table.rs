@@ -19,9 +19,6 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes (observations, pass/fail summary).
     pub notes: Vec<String>,
-    /// Hot-path span breakdown (from `bshm_obs::span`) accumulated while
-    /// the experiment ran; empty when span timing was disabled.
-    pub spans: Vec<bshm_obs::SpanStat>,
 }
 
 impl Table {
@@ -40,7 +37,6 @@ impl Table {
             headers: headers.into_iter().map(str::to_string).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
-            spans: Vec::new(),
         }
     }
 
@@ -89,16 +85,6 @@ impl Table {
         }
         for n in &self.notes {
             let _ = writeln!(out, "note: {n}");
-        }
-        for s in &self.spans {
-            let _ = writeln!(
-                out,
-                "span: {:<24} ×{:<6} total {:>10.3}ms  max {:>8.3}ms",
-                s.name,
-                s.count,
-                s.total_ns as f64 / 1e6,
-                s.max_ns as f64 / 1e6,
-            );
         }
         out
     }

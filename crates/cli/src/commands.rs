@@ -362,10 +362,7 @@ fn cmd_solve(flags: &Flags, out: Out) -> Result<(), String> {
     };
     validate_schedule(&schedule, &instance).map_err(|e| format!("BUG: {alg} infeasible: {e}"))?;
     let cost: Cost = schedule_cost(&schedule, &instance);
-    let lb = gauge_lb.unwrap_or_else(|| {
-        let _span = bshm_obs::span::span("core::lower_bound");
-        lower_bound(&instance)
-    });
+    let lb = gauge_lb.unwrap_or_else(|| lower_bound(&instance));
     // Prometheus exposition must stay machine-parseable: suppress the
     // human report (schedule writing still happens).
     if !(want_metrics && format == MetricsFormat::Prometheus) {
@@ -633,17 +630,21 @@ fn cmd_top(flags: &Flags, out: Out) -> Result<(), String> {
         );
     }
 
-    // Decision latency quantiles.
-    let (p50, p95, p99) = (
-        metrics.decision_ns_quantile(0.50).unwrap_or(0.0),
-        metrics.decision_ns_quantile(0.95).unwrap_or(0.0),
-        metrics.decision_ns_quantile(0.99).unwrap_or(0.0),
-    );
+    // Decision latency quantiles; offline and clock-free traces carry no
+    // timed decisions, so theirs are absent rather than ~0 ns.
+    let quantile = |q| {
+        metrics
+            .decision_ns_quantile(q)
+            .map_or_else(|| "n/a".to_string(), |ns| format!("~{ns:.0} ns"))
+    };
     let _ = writeln!(
         out,
-        "\ndecision latency: p50 ~{p50:.0} ns, p95 ~{p95:.0} ns, p99 ~{p99:.0} ns \
-         ({} decisions, {} ns total)",
-        metrics.placements, metrics.decision_ns_sum
+        "\ndecision latency: p50 {}, p95 {}, p99 {} ({} decisions, {} ns total)",
+        quantile(0.50),
+        quantile(0.95),
+        quantile(0.99),
+        metrics.placements,
+        metrics.decision_ns_sum
     );
 
     // Cost accrual table per machine type.
@@ -1743,10 +1744,7 @@ fn cmd_validate(flags: &Flags, out: Out) -> Result<(), String> {
 
 fn cmd_lb(flags: &Flags, out: Out) -> Result<(), String> {
     let instance = load_instance(flags)?;
-    let exact = {
-        let _span = bshm_obs::span::span("core::lower_bound");
-        lower_bound(&instance)
-    };
+    let exact = lower_bound(&instance);
     let lp = lp_lower_bound(&instance);
     let _ = writeln!(out, "exact lower bound: {exact}");
     let _ = writeln!(out, "LP relaxation:     {lp:.2}");
@@ -1783,10 +1781,7 @@ fn cmd_info(flags: &Flags, out: Out) -> Result<(), String> {
         st.mu()
     );
     let _ = writeln!(out, "max size:    {}", st.max_size);
-    let peak = {
-        let _span = bshm_obs::span::span("core::sweep::load_profile");
-        bshm_core::sweep::load_profile(instance.jobs()).max()
-    };
+    let peak = bshm_core::sweep::load_profile(instance.jobs()).max();
     let _ = writeln!(out, "peak load:   {peak}");
     Ok(())
 }
@@ -2393,6 +2388,45 @@ mod tests {
         let (code, out) = run_cmd("top");
         assert_eq!(code, 2);
         assert!(out.contains("top needs a trace"), "{out}");
+    }
+
+    #[test]
+    fn solve_metrics_time_only_online_decisions() {
+        // Offline schedules trace through synthesized events that were
+        // never timed: their latency histogram stays empty, so there is no
+        // quantile and `top` prints n/a. Online decisions are timed.
+        #[derive(serde::Deserialize)]
+        struct Latency {
+            decision_ns_hist: Vec<u64>,
+        }
+        let inst = tmp("inst-latency.json");
+        run_cmd(&format!(
+            "gen --n 40 --seed 21 --catalog dec:3:4 --arrivals poisson:2 \
+             --durations uniform:10:50 --sizes uniform:1:40 --out {inst}"
+        ));
+        for (alg, timed) in [("dec-offline", false), ("dec-online", true)] {
+            let trace = tmp(&format!("latency-{alg}.jsonl"));
+            let (code, out) = run_cmd(&format!(
+                "solve --instance {inst} --alg {alg} --metrics --trace {trace}"
+            ));
+            assert_eq!(code, 0, "{out}");
+            let start = out.find("\n{\n").expect("metrics JSON") + 1;
+            let end = start + out[start..].find("\n}\n").expect("metrics JSON end") + 2;
+            let m: Latency = serde_json::from_str(&out[start..end]).unwrap();
+            let p50 = bshm_obs::bucket_quantile(
+                &m.decision_ns_hist,
+                bshm_obs::recorder::decision_ns_bucket_bounds,
+                0.5,
+            );
+            assert_eq!(p50.is_some(), timed, "{alg}: {:?}", m.decision_ns_hist);
+            let (code, out) = run_cmd(&format!("top {trace}"));
+            assert_eq!(code, 0, "{out}");
+            assert_eq!(
+                out.contains("decision latency: p50 n/a"),
+                !timed,
+                "{alg}: {out}"
+            );
+        }
     }
 
     #[test]

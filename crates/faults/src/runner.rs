@@ -24,7 +24,7 @@ use crate::recovery::{DisplacedJob, RecoveryPolicy};
 use bshm_core::convert::{count_u64, index_u32};
 use bshm_core::machine::Catalog;
 use bshm_core::{Instance, Job, JobId, MachineId, Schedule, TimePoint};
-use bshm_obs::{span, Probe, TraceEvent};
+use bshm_obs::{clock, Probe, TraceEvent};
 use bshm_sim::{ArrivalView, MachinePool, OnlineScheduler, SimError};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -332,10 +332,9 @@ impl Engine<'_, '_> {
         recovery: &mut dyn RecoveryPolicy,
     ) -> Result<(), FaultError> {
         let before = self.pool.len();
-        let start = span::now();
+        let start = clock::now();
         let chosen = recovery.recover(job, &mut self.pool);
-        let recovery_ns = elapsed_ns(start);
-        span::record("faults::recover", recovery_ns);
+        let recovery_ns = clock::elapsed_ns(start);
         // Anything the policy opened is a recovery machine from here on.
         for i in before..self.pool.len() {
             self.recovery_owned.insert(MachineId(index_u32(i)));
@@ -540,10 +539,9 @@ impl PreparedRun {
                         };
                         let known_machines = engine.pool.len();
                         if engine.probing {
-                            let start = span::now();
+                            let start = clock::now();
                             let m = scheduler.on_arrival(view, &mut engine.pool);
-                            let decision_ns = elapsed_ns(start);
-                            span::record("sim::on_arrival", decision_ns);
+                            let decision_ns = clock::elapsed_ns(start);
                             engine.place_arrival(
                                 t,
                                 &job,
@@ -553,12 +551,7 @@ impl PreparedRun {
                                 recovery,
                             )?;
                         } else {
-                            let timing = span::enabled();
-                            let start = timing.then(span::now);
                             let m = scheduler.on_arrival(view, &mut engine.pool);
-                            if let Some(start) = start {
-                                span::record("sim::on_arrival", elapsed_ns(start));
-                            }
                             engine.place_arrival(t, &job, m, 0, known_machines, recovery)?;
                         }
                     }
@@ -694,8 +687,4 @@ fn verify_fingerprints(
         return Err(mismatch("fault plan", plan_spec, &cp.plan_spec));
     }
     Ok(())
-}
-
-fn elapsed_ns(start: std::time::Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

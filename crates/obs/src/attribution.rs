@@ -45,7 +45,7 @@ struct Segment {
 
 /// The in-progress busy span of one machine.
 #[derive(Clone, Debug)]
-struct SpanState {
+struct BusySpan {
     /// Start of the segment currently accruing.
     seg_start: TimePoint,
     /// The job charged for the opening segment (the first job placed on
@@ -57,9 +57,9 @@ struct SpanState {
     occupants: BTreeMap<JobId, u64>,
 }
 
-impl SpanState {
+impl BusySpan {
     fn new(t: TimePoint) -> Self {
-        SpanState {
+        BusySpan {
             seg_start: t,
             opener: None,
             segments: Vec::new(),
@@ -87,7 +87,7 @@ pub struct CostLedger {
     /// Job sizes learned from `Arrival` events.
     sizes: HashMap<JobId, u64>,
     /// Open busy spans by machine.
-    spans: HashMap<MachineId, SpanState>,
+    spans: HashMap<MachineId, BusySpan>,
     /// Attributed cost per job.
     attributed: BTreeMap<JobId, Cost>,
     /// Total traced cost (`Σ CostAccrual busy × rate`).
@@ -162,7 +162,7 @@ impl CostLedger {
                 self.sizes.insert(job, size);
             }
             TraceEvent::MachineOpen { t, machine, .. } => {
-                self.spans.insert(machine, SpanState::new(t));
+                self.spans.insert(machine, BusySpan::new(t));
             }
             TraceEvent::Placement {
                 t, job, machine, ..
@@ -229,7 +229,7 @@ impl CostLedger {
                 } else {
                     // Recovery onto a machine whose open the trace did not
                     // record separately: the recovered job is its opener.
-                    let mut span = SpanState::new(t);
+                    let mut span = BusySpan::new(t);
                     span.opener = Some(job);
                     span.occupants.insert(job, size);
                     self.spans.insert(to, span);
@@ -251,7 +251,7 @@ impl CostLedger {
     /// segment to the opener, every extension proportionally by occupant
     /// size. The last segment takes the exact remainder so the span's
     /// charges always sum to `span_cost`.
-    fn settle(&mut self, span: &SpanState, span_cost: Cost, rate: u64) {
+    fn settle(&mut self, span: &BusySpan, span_cost: Cost, rate: u64) {
         if span_cost == 0 {
             return;
         }

@@ -1,7 +1,7 @@
 //! # bshm-obs
 //!
 //! Observability for the bshm reproduction: structured trace events,
-//! probes, aggregated metrics, span timers, and trace replay.
+//! probes, aggregated metrics, and trace replay.
 //!
 //! The pieces fit together like this:
 //!
@@ -17,10 +17,8 @@
 //!   writer and folds them into [`Metrics`] (counters, per-type
 //!   open-machine gauge timeline, utilization and decision-latency
 //!   histograms, per-type cost).
-//! * [`span`] is a process-global registry of named wall-clock timers for
-//!   hot paths (`lower_bound`, the offline solvers, the online
-//!   `on_arrival`), off by default; the bench harness enables it and dumps
-//!   the breakdown into its JSON output.
+//! * [`clock`] is the workspace's one wall-clock read; probed runs time
+//!   each placement decision with it.
 //! * [`replay`] parses a trace back, reconstructs the per-type busy-machine
 //!   timeline from open/close events, and cross-checks it against
 //!   [`bshm_core::analysis::machine_timeline`]. [`replay::synthesize`]
@@ -71,6 +69,7 @@
 #![warn(clippy::all)]
 
 pub mod attribution;
+pub mod clock;
 pub mod event;
 pub mod flight;
 pub mod gap;
@@ -80,7 +79,6 @@ pub mod recorder;
 pub mod replay;
 pub mod sink;
 pub mod slo;
-pub mod span;
 pub mod window;
 
 pub use attribution::CostLedger;
@@ -102,5 +100,4 @@ pub use slo::{
     write_health_report, AlertFire, AlertRecord, HealthProbe, HealthReport, SloEngine, SloRule,
     SloSpec, DEFAULT_SLO_SPEC,
 };
-pub use span::{SpanGuard, SpanStat};
 pub use window::{RollingWindows, WindowStats};

@@ -11,8 +11,9 @@ use std::io::Write;
 pub const UTILIZATION_BUCKETS: usize = 10;
 
 /// Number of log₂ buckets in the decision-latency histogram: bucket `i`
-/// counts decisions with `decision_ns` in `[2^i, 2^(i+1))` (bucket 0 also
-/// holds 0 ns).
+/// counts decisions with `decision_ns` in `[2^i, 2^(i+1))`. A
+/// `decision_ns` of 0 means the decision was not timed (synthesized or
+/// clock-free events) and enters no bucket.
 pub const DECISION_NS_BUCKETS: usize = 40;
 
 /// The value range `[lo, hi)` covered by decision-latency bucket `i`.
@@ -326,13 +327,11 @@ impl Metrics {
                     .min(UTILIZATION_BUCKETS - 1);
                 self.utilization_hist[bucket] += 1;
                 self.utilization_sum += fill;
-                let b = if decision_ns == 0 {
-                    0
-                } else {
-                    (decision_ns.ilog2() as usize).min(DECISION_NS_BUCKETS - 1) // bshm-allow(lossy-cast): ilog2 of a u64 is at most 63
-                };
-                self.decision_ns_hist[b] += 1;
-                self.decision_ns_sum = self.decision_ns_sum.saturating_add(decision_ns);
+                if decision_ns > 0 {
+                    let b = (decision_ns.ilog2() as usize).min(DECISION_NS_BUCKETS - 1); // bshm-allow(lossy-cast): ilog2 of a u64 is at most 63
+                    self.decision_ns_hist[b] += 1;
+                    self.decision_ns_sum = self.decision_ns_sum.saturating_add(decision_ns);
+                }
             }
             TraceEvent::CostAccrual {
                 machine_type,

@@ -96,20 +96,12 @@ pub fn run_clairvoyant_logged<S: ClairvoyantScheduler>(
                 arrival: t,
                 departure: job.departure,
             };
-            let timing = bshm_obs::span::enabled();
-            let start = timing.then(bshm_obs::span::now);
             let m = if log.enabled() {
                 log.begin(job.id);
                 scheduler.on_arrival_explained(view, &mut pool, log)
             } else {
                 scheduler.on_arrival(view, &mut pool)
             };
-            if let Some(start) = start {
-                bshm_obs::span::record(
-                    "sim::clairvoyant_on_arrival",
-                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
             pool.place(m, job.id, job.size)
                 .map_err(|cause| SimError { job: job.id, cause })?;
         } else {

@@ -16,9 +16,8 @@ use bshm_core::ops::{NoOps, OpCounter, OpProbe, OpTrace, PlaceReason};
 use bshm_core::schedule::{MachineId, Schedule};
 use bshm_core::sweep::job_events;
 use bshm_core::time::TimePoint;
-use bshm_obs::{span, NoProbe, Probe, TraceEvent};
+use bshm_obs::{clock, NoProbe, Probe, TraceEvent};
 use std::fmt;
-use std::time::Instant;
 
 /// What a non-clairvoyant scheduler sees when a job arrives: everything
 /// about the job *except* its departure time.
@@ -243,12 +242,7 @@ fn drive<S: OnlineScheduler, P: Probe + ?Sized, X: Explain>(
                 time: t,
             };
             if !probing {
-                let timing = span::enabled();
-                let start = timing.then(span::now);
                 let m = scheduler.on_arrival(view, &mut pool);
-                if let Some(start) = start {
-                    span::record("sim::on_arrival", elapsed_ns(start));
-                }
                 pool.place(m, job.id, job.size)
                     .map_err(|cause| SimError { job: job.id, cause })?;
                 continue;
@@ -256,14 +250,13 @@ fn drive<S: OnlineScheduler, P: Probe + ?Sized, X: Explain>(
             probe.on_arrival(t, job.id, job.size);
             let known_machines = pool.len();
             let mut ops = X::begin();
-            let start = span::now();
+            let start = clock::now();
             let m = if X::ON {
                 scheduler.on_arrival_explained(view, &mut pool, &mut ops)
             } else {
                 scheduler.on_arrival(view, &mut pool)
             };
-            let decision_ns = elapsed_ns(start);
-            span::record("sim::on_arrival", decision_ns);
+            let decision_ns = clock::elapsed_ns(start);
             let was_idle = pool.is_idle(m);
             pool.place(m, job.id, job.size)
                 .map_err(|cause| SimError { job: job.id, cause })?;
@@ -327,10 +320,6 @@ fn drive<S: OnlineScheduler, P: Probe + ?Sized, X: Explain>(
         probe.finish();
     }
     Ok((pool.into_schedule(), totals))
-}
-
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
