@@ -11,6 +11,17 @@ use std::fmt;
 pub enum InstanceError {
     /// The instance has no jobs.
     NoJobs,
+    /// A job has size zero.
+    ZeroSize(u32),
+    /// A job's active interval `[arrival, departure)` is empty.
+    EmptyInterval {
+        /// Id of the offending job.
+        job: u32,
+        /// Its arrival time.
+        arrival: u64,
+        /// Its departure time, at or before the arrival.
+        departure: u64,
+    },
     /// Two jobs share the same id.
     DuplicateJobId(u32),
     /// A job is larger than the largest machine capacity, so no feasible
@@ -29,6 +40,15 @@ impl fmt::Display for InstanceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InstanceError::NoJobs => write!(f, "instance has no jobs"),
+            InstanceError::ZeroSize(id) => write!(f, "job J{id} has size 0"),
+            InstanceError::EmptyInterval {
+                job,
+                arrival,
+                departure,
+            } => write!(
+                f,
+                "job J{job} has an empty active interval [{arrival}, {departure})"
+            ),
             InstanceError::DuplicateJobId(id) => write!(f, "duplicate job id J{id}"),
             InstanceError::JobTooLarge {
                 job,
@@ -46,10 +66,13 @@ impl std::error::Error for InstanceError {}
 
 /// A validated BSHM instance.
 ///
-/// Invariants: at least one job, unique job ids, and every job fits on the
+/// Invariants: at least one job, every job of positive size with a
+/// non-empty active interval, unique job ids, and every job fits on the
 /// largest machine type. Jobs are stored sorted by `(arrival, id)` — the
 /// order in which a non-clairvoyant online algorithm observes them.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Decoding from JSON goes through [`Instance::new`], so a decoded
+/// instance holds the same invariants.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Instance {
     jobs: Vec<Job>,
     catalog: Catalog,
@@ -65,6 +88,16 @@ impl Instance {
         let mut seen = HashSet::with_capacity(jobs.len());
         let max_capacity = catalog.max_capacity();
         for j in &jobs {
+            if j.size == 0 {
+                return Err(InstanceError::ZeroSize(j.id.0));
+            }
+            if j.arrival >= j.departure {
+                return Err(InstanceError::EmptyInterval {
+                    job: j.id.0,
+                    arrival: j.arrival,
+                    departure: j.departure,
+                });
+            }
             if !seen.insert(j.id) {
                 return Err(InstanceError::DuplicateJobId(j.id.0));
             }
@@ -118,6 +151,27 @@ impl Instance {
     }
 }
 
+impl Deserialize for Instance {
+    fn deserialize(de: &mut serde::Decoder<'_>) -> Result<Self, serde::Error> {
+        let raw = wire::Instance::deserialize(de)?;
+        Instance::new(raw.jobs, raw.catalog).map_err(|e| serde::Error(format!("Instance: {e}")))
+    }
+}
+
+/// The unchecked JSON shape of [`Instance`], named alike so that decode
+/// errors name the public type.
+mod wire {
+    use crate::job::Job;
+    use crate::machine::Catalog;
+    use serde::Deserialize;
+
+    #[derive(Deserialize)]
+    pub(super) struct Instance {
+        pub(super) jobs: Vec<Job>,
+        pub(super) catalog: Catalog,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +222,67 @@ mod tests {
                 max_capacity: 16
             }
         );
+    }
+
+    #[test]
+    fn rejects_zero_size_and_empty_intervals() {
+        let unchecked = |size, arrival, departure| Job {
+            id: crate::job::JobId(4),
+            size,
+            arrival,
+            departure,
+        };
+        assert_eq!(
+            Instance::new(vec![unchecked(0, 0, 1)], catalog()).unwrap_err(),
+            InstanceError::ZeroSize(4)
+        );
+        for (arrival, departure) in [(3, 3), (4, 3)] {
+            assert_eq!(
+                Instance::new(vec![unchecked(1, arrival, departure)], catalog()).unwrap_err(),
+                InstanceError::EmptyInterval {
+                    job: 4,
+                    arrival,
+                    departure
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_goes_through_new() {
+        let text = |jobs: &str| {
+            format!(
+                r#"{{"jobs":[{jobs}],"catalog":{{"types":[{{"capacity":4,"rate":1}},{{"capacity":16,"rate":2}}]}}}}"#
+            )
+        };
+        let unsorted = text(
+            r#"{"id":0,"size":1,"arrival":10,"departure":20},{"id":1,"size":1,"arrival":5,"departure":9}"#,
+        );
+        let inst: Instance = serde_json::from_str(&unsorted).unwrap();
+        let order: Vec<u32> = inst.jobs().iter().map(|j| j.id.0).collect();
+        assert_eq!(order, vec![1, 0]);
+        for (jobs, err) in [
+            ("", "instance has no jobs"),
+            (
+                r#"{"id":7,"size":0,"arrival":0,"departure":1}"#,
+                "job J7 has size 0",
+            ),
+            (
+                r#"{"id":7,"size":1,"arrival":2,"departure":2}"#,
+                "job J7 has an empty active interval [2, 2)",
+            ),
+            (
+                r#"{"id":7,"size":1,"arrival":0,"departure":1},{"id":7,"size":1,"arrival":0,"departure":1}"#,
+                "duplicate job id J7",
+            ),
+            (
+                r#"{"id":7,"size":17,"arrival":0,"departure":1}"#,
+                "job J7 of size 17 exceeds the largest machine capacity 16",
+            ),
+        ] {
+            let e = serde_json::from_str::<Instance>(&text(jobs)).unwrap_err();
+            assert_eq!(e.to_string(), format!("Instance: {err}"));
+        }
     }
 
     #[test]

@@ -73,6 +73,9 @@ pub enum CatalogClass {
 pub enum CatalogError {
     /// The catalog has no machine types.
     Empty,
+    /// The smallest type has zero capacity or zero rate (every later
+    /// type exceeds it in both, so only type 0 can).
+    ZeroCapacityOrRate,
     /// Capacities are not strictly increasing at the given adjacent pair.
     CapacitiesNotStrictlyIncreasing(usize),
     /// Rates are not strictly increasing at the given adjacent pair.
@@ -87,6 +90,7 @@ impl fmt::Display for CatalogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CatalogError::Empty => write!(f, "catalog has no machine types"),
+            CatalogError::ZeroCapacityOrRate => write!(f, "type 0 has zero capacity or rate"),
             CatalogError::CapacitiesNotStrictlyIncreasing(i) => {
                 write!(
                     f,
@@ -109,17 +113,40 @@ impl std::error::Error for CatalogError {}
 
 /// A validated catalog of machine types, sorted so that
 /// `g_0 < g_1 < … < g_{m-1}` and `r_0 < r_1 < … < r_{m-1}` (§II).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Decoding from JSON goes through [`Catalog::new`].
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Catalog {
     types: Vec<MachineType>,
 }
 
+impl Deserialize for Catalog {
+    fn deserialize(de: &mut serde::Decoder<'_>) -> Result<Self, serde::Error> {
+        let raw = wire::Catalog::deserialize(de)?;
+        Catalog::new(raw.types).map_err(|e| serde::Error(format!("Catalog: {e}")))
+    }
+}
+
+/// The unchecked JSON shape of [`Catalog`], named alike so that decode
+/// errors name the public type.
+mod wire {
+    use super::MachineType;
+    use serde::Deserialize;
+
+    #[derive(Deserialize)]
+    pub(super) struct Catalog {
+        pub(super) types: Vec<MachineType>,
+    }
+}
+
 impl Catalog {
-    /// Builds a catalog from types already sorted by capacity with strictly
-    /// increasing capacities and rates.
+    /// Builds a catalog from types already sorted by capacity with
+    /// positive, strictly increasing capacities and rates.
     pub fn new(types: Vec<MachineType>) -> Result<Self, CatalogError> {
-        if types.is_empty() {
+        let Some(smallest) = types.first() else {
             return Err(CatalogError::Empty);
+        };
+        if smallest.capacity == 0 || smallest.rate == 0 {
+            return Err(CatalogError::ZeroCapacityOrRate);
         }
         for (i, w) in types.windows(2).enumerate() {
             if w[0].capacity >= w[1].capacity {
@@ -260,6 +287,34 @@ mod tests {
             Catalog::new(vec![mt(1, 3), mt(2, 3)]).unwrap_err(),
             CatalogError::RatesNotStrictlyIncreasing(0)
         );
+        let unchecked = |capacity, rate| MachineType { capacity, rate };
+        for smallest in [unchecked(0, 1), unchecked(1, 0)] {
+            assert_eq!(
+                Catalog::new(vec![smallest, mt(2, 3)]).unwrap_err(),
+                CatalogError::ZeroCapacityOrRate
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_goes_through_new() {
+        let c: Catalog = serde_json::from_str(r#"{"types":[{"capacity":4,"rate":1}]}"#).unwrap();
+        assert_eq!(c.types(), &[mt(4, 1)]);
+        for (types, err) in [
+            ("", "catalog has no machine types"),
+            (
+                r#"{"capacity":4,"rate":2},{"capacity":4,"rate":3}"#,
+                "capacities not strictly increasing between types 0 and 1",
+            ),
+            (
+                r#"{"capacity":0,"rate":2}"#,
+                "type 0 has zero capacity or rate",
+            ),
+        ] {
+            let text = format!(r#"{{"types":[{types}]}}"#);
+            let e = serde_json::from_str::<Catalog>(&text).unwrap_err();
+            assert_eq!(e.to_string(), format!("Catalog: {err}"));
+        }
     }
 
     #[test]
