@@ -7,16 +7,16 @@ Both arguments are prebuilt `perfbench` binaries, one built at the merge
 base and one at the head. Run from the repository root. For every
 workload in BENCHMARK.json the gate runs 10 pairs, one run of each binary
 per pair on the same seed (seeds 1..10), alternating which side goes
-first, each run for BENCHMARK.json's `run_seconds`. A metric fails when
-the head's median is worse than the base's by more than the larger of
-the metric's `bound` and the base's spread (the distance between its
-quartiles, statistics.quantiles n=4), both as a share of the base
-median. Runs that print `correct: false` or a failed request, or that
-exit non-zero, fail the gate too. Exits 1 on any failure.
+first, each run for BENCHMARK.json's `run_seconds`. For each metric the
+gate takes the head/base ratio within every pair and fails the metric
+when the median of those ratios is worse than 1 by more than the
+metric's `bound`. Runs that print `correct: false` or a failed request,
+or that exit non-zero, fail the gate too. Exits 1 on any failure.
 
-Both sides run on the same machine in alternation, so a slow or noisy
-machine slows both alike; the gate compares them with each other and
-never with a stored number.
+Both runs of a pair share the machine's state at that moment, so drift
+in the machine's speed over the gate's twenty minutes scales both sides
+of a pair alike and cancels in the ratio; the gate compares the two
+binaries with each other and never with a stored number.
 """
 
 import json
@@ -39,6 +39,13 @@ def run(exe, workload, seed, seconds):
     return {n: m["value"] for n, m in result["metrics"].items()}, None
 
 
+def ratio(head, base):
+    """head/base, with 0/0 read as no change."""
+    if base:
+        return head / base
+    return 1.0 if head == base else float("inf")
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -46,34 +53,34 @@ def main():
     bench = json.load(open("BENCHMARK.json"))
     failures = []
     for workload in (w["name"] for w in bench["workloads"]):
-        values = {"base": {}, "head": {}}
+        pairs = []
         for seed in range(1, PAIRS + 1):
             order = ["base", "head"] if seed % 2 else ["head", "base"]
+            pair = {}
             for side in order:
                 metrics, error = run(sides[side], workload, seed, bench["run_seconds"])
                 if error:
                     failures.append(f"{workload} {side}: {error}")
-                    continue
-                for name, value in metrics.items():
-                    values[side].setdefault(name, []).append(value)
+                else:
+                    pair[side] = metrics
+            if len(pair) == 2:
+                pairs.append(pair)
             print(f"{workload} pair {seed} done", flush=True)
         for m in bench["end_to_end"]:
-            base, head = values["base"].get(m["name"]), values["head"].get(m["name"])
-            if not base or not head:
-                failures.append(f"{workload} {m['name']}: missing from a run")
+            name = m["name"]
+            ratios = [ratio(p["head"][name], p["base"][name])
+                      for p in pairs if name in p["head"] and name in p["base"]]
+            if not ratios:
+                failures.append(f"{workload} {name}: missing from every pair")
                 continue
-            base_med, head_med = statistics.median(base), statistics.median(head)
-            q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base_med,) * 3
-            spread = (q3 - q1) / base_med if base_med else 0.0
-            allowed = max(m["bound"], spread)
-            sign = 1 if m["better"] == "lower" else -1
-            worse = sign * (head_med - base_med) / base_med if base_med else 0.0
-            verdict = "FAIL" if worse > allowed else "ok"
-            print(f"{verdict:4s} {workload:16s} {m['name']:16s} base={base_med:<12.6g} "
-                  f"head={head_med:<12.6g} worse={worse:+.4f} allowed={allowed:.4f}")
+            med = statistics.median(ratios)
+            worse = med - 1 if m["better"] == "lower" else 1 - med
+            verdict = "FAIL" if worse > m["bound"] else "ok"
+            print(f"{verdict:4s} {workload:16s} {name:16s} pairs={len(ratios):<2d} "
+                  f"median head/base={med:<8.4f} worse={worse:+.4f} bound={m['bound']:.4f}")
             if verdict == "FAIL":
-                failures.append(f"{workload} {m['name']}: head worse by {worse:.4f} "
-                                f"> {allowed:.4f}")
+                failures.append(f"{workload} {name}: head worse by {worse:.4f} "
+                                f"> {m['bound']:.4f}")
     for f in failures:
         print(f"FAIL: {f}")
     sys.exit(1 if failures else 0)
