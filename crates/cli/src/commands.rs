@@ -12,7 +12,7 @@ use bshm_core::schedule::Schedule;
 use bshm_core::validate::validate_schedule;
 use bshm_core::{schedule_cost, Cost};
 use bshm_faults::{FaultOutcome, FaultPlan};
-use bshm_obs::{replay, NoProbe, Probe, Recorder};
+use bshm_obs::{replay, EventStream, NoProbe, Probe, Recorder};
 use bshm_sim::OnlineScheduler;
 use bshm_workload::WorkloadSpec;
 use std::io::Write;
@@ -200,14 +200,16 @@ fn load_instance(flags: &Flags) -> Result<Instance, String> {
     serde_json::from_str(&data).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn write_or_print(out: Out, path: Option<&str>, json: &str, what: &str) -> Result<(), String> {
+/// Writes `contents` to `--out`-style `path` and says so, or prints them
+/// as given.
+fn write_or_print(out: Out, path: Option<&str>, contents: &str, what: &str) -> Result<(), String> {
     match path {
         Some(p) => {
-            std::fs::write(p, json).map_err(|e| format!("writing {p}: {e}"))?;
+            std::fs::write(p, contents).map_err(|e| format!("writing {p}: {e}"))?;
             let _ = writeln!(out, "wrote {what} to {p}");
         }
         None => {
-            let _ = writeln!(out, "{json}");
+            let _ = write!(out, "{contents}");
         }
     }
     Ok(())
@@ -230,23 +232,15 @@ fn cmd_gen(flags: &Flags, out: Out) -> Result<(), String> {
         };
         spec.generate(catalog)
     };
-    let json = serde_json::to_string_pretty(&instance).expect("instances serialize");
+    let json = serde_json::to_string_pretty(&instance).expect("instances serialize") + "\n";
     write_or_print(out, flags.get("out"), &json, "instance")
 }
 
 fn cmd_export_csv(flags: &Flags, out: Out) -> Result<(), String> {
     let instance = load_instance(flags)?;
     let csv = bshm_workload::to_csv(instance.jobs());
-    match flags.get("out") {
-        Some(p) => {
-            std::fs::write(p, &csv).map_err(|e| format!("writing {p}: {e}"))?;
-            let _ = writeln!(out, "wrote {} jobs to {p}", instance.job_count());
-        }
-        None => {
-            let _ = write!(out, "{csv}");
-        }
-    }
-    Ok(())
+    let what = format!("{} jobs", instance.job_count());
+    write_or_print(out, flags.get("out"), &csv, &what)
 }
 
 /// Parses a `--metrics-format`/`--format` value.
@@ -264,6 +258,23 @@ fn parse_metrics_format(value: Option<&str>, flag: &str) -> Result<MetricsFormat
 enum MetricsFormat {
     Json,
     Prometheus,
+}
+
+/// A report's `--format` (`xray`, `gap-report`): console text by default.
+#[derive(Clone, Copy)]
+enum ReportFormat {
+    Console,
+    Json,
+}
+
+fn report_format(flags: &Flags) -> Result<ReportFormat, String> {
+    match flags.get("format").unwrap_or("console") {
+        "console" => Ok(ReportFormat::Console),
+        "json" => Ok(ReportFormat::Json),
+        other => Err(format!(
+            "--format: expected `console` or `json`, got {other:?}"
+        )),
+    }
 }
 
 /// The recorder a `solve` run streams into, writing `--trace` when given.
@@ -515,10 +526,9 @@ fn cmd_crash_test(flags: &Flags, out: Out) -> Result<(), String> {
     }
 }
 
-/// Reads and parses a trace JSONL file, rejecting empty/truncated input.
+/// Reads a whole trace strictly, rejecting empty/truncated input.
 fn load_trace(path: &str) -> Result<Vec<bshm_obs::TraceEvent>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let events = replay::parse_jsonl(&text)?;
+    let events: Vec<_> = EventStream::open(path)?.collect::<Result<_, _>>()?;
     if events.is_empty() {
         return Err(format!(
             "trace {path} contains no events (empty or truncated file?)"
@@ -545,16 +555,7 @@ fn cmd_export_metrics(flags: &Flags, out: Out) -> Result<(), String> {
             serde_json::to_string_pretty(&metrics).expect("metrics serialize") + "\n"
         }
     };
-    match flags.get("out") {
-        Some(p) => {
-            std::fs::write(p, &rendered).map_err(|e| format!("writing {p}: {e}"))?;
-            let _ = writeln!(out, "wrote metrics snapshot to {p}");
-        }
-        None => {
-            let _ = write!(out, "{rendered}");
-        }
-    }
-    Ok(())
+    write_or_print(out, flags.get("out"), &rendered, "metrics snapshot")
 }
 
 /// Scales `v` in `0..=peak` to one of nine block glyphs (space for 0).
@@ -568,16 +569,11 @@ fn gauge_glyph(v: u32, peak: u32) -> char {
 }
 
 fn cmd_top(flags: &Flags, out: Out) -> Result<(), String> {
-    let path = match (flags.positional().first(), flags.get("trace")) {
-        (Some(p), _) => p.clone(),
-        (None, Some(p)) => p.to_string(),
-        (None, None) => return Err("top needs a trace: `bshm top TRACE.jsonl`".to_string()),
-    };
+    let path = trace_arg(flags, "top")?;
     let events = load_trace(&path)?;
     let cols = flags.get_or("cols", 64usize)?.max(2);
     let n_types = replay::infer_n_types(&events);
     let metrics = replay::metrics_from_events("trace", &events, n_types);
-    let timeline = replay::replay_timeline(&events, n_types);
     let t0 = events.first().map_or(0, bshm_obs::TraceEvent::time);
     let t1 = events.last().map_or(0, bshm_obs::TraceEvent::time);
 
@@ -603,7 +599,7 @@ fn cmd_top(flags: &Flags, out: Out) -> Result<(), String> {
         (0..cols)
             .map(|c| {
                 let t = t0 + (t1 - t0) * c as u64 / (cols as u64 - 1).max(1);
-                timeline.at(t).get(ty).copied().unwrap_or(0)
+                metrics.gauge_at(t).get(ty).copied().unwrap_or(0)
             })
             .collect()
     };
@@ -663,7 +659,7 @@ fn cmd_top(flags: &Flags, out: Out) -> Result<(), String> {
                 *i += 1;
             }
             if let Some(b) = busy_ticks.get_mut(machine_type.0) {
-                *b += busy;
+                *b = b.saturating_add(busy);
             }
             if let Some(r) = rates.get_mut(machine_type.0) {
                 *r = rate;
@@ -728,6 +724,22 @@ fn trace_arg(flags: &Flags, cmd: &str) -> Result<String, String> {
     }
 }
 
+/// One streaming pass over a trace: the catalog width it implies, the
+/// events before its first damaged line, and that line's error.
+fn scan_trace(path: &str) -> Result<(usize, u64, Option<String>), String> {
+    let (mut n_types, mut total) = (0, 0);
+    for e in EventStream::open(path)? {
+        match e {
+            Ok(e) => {
+                n_types = n_types.max(replay::event_type_bound(&e));
+                total += 1;
+            }
+            Err(damage) => return Ok((n_types, total, Some(damage))),
+        }
+    }
+    Ok((n_types, total, None))
+}
+
 /// `health`: evaluate an SLO spec against a recorded trace and exit
 /// nonzero on breach — the CI-facing face of the live health plane.
 ///
@@ -740,11 +752,9 @@ fn cmd_health(flags: &Flags, out: Out) -> Result<(), String> {
     let path = trace_arg(flags, "health")?;
     let spec = spec::parse_slo(flags.get("slo").unwrap_or(bshm_obs::DEFAULT_SLO_SPEC))?;
     // Pass 1 (streaming): the catalog width.
-    let mut n_types = 0usize;
-    let mut total = 0u64;
-    for e in replay::stream_jsonl_file(std::path::Path::new(&path))? {
-        n_types = n_types.max(replay::event_type_bound(&e?));
-        total += 1;
+    let (n_types, total, damage) = scan_trace(&path)?;
+    if let Some(e) = damage {
+        return Err(e);
     }
     if total == 0 {
         return Err(format!(
@@ -757,7 +767,7 @@ fn cmd_health(flags: &Flags, out: Out) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
         probe = probe.with_snapshot_dir(dir);
     }
-    for e in replay::stream_jsonl_file(std::path::Path::new(&path))? {
+    for e in EventStream::open(&path)? {
         probe.record(&e?);
     }
     let (_, report) = probe.into_parts();
@@ -840,26 +850,12 @@ fn cmd_watch(flags: &Flags, out: Out) -> Result<(), String> {
 /// so the `--follow` loop can report an idle poll.
 fn watch_render(out: Out, path: &str, width: u64, rows: usize) -> Result<u64, String> {
     // Pass 1 (streaming): catalog width; a torn tail ends the view early.
-    let mut n_types = 0usize;
-    let mut total = 0u64;
-    let mut torn: Option<String> = None;
-    for e in replay::stream_jsonl_file(std::path::Path::new(path))? {
-        match e {
-            Ok(e) => {
-                n_types = n_types.max(replay::event_type_bound(&e));
-                total += 1;
-            }
-            Err(note) => {
-                torn = Some(note);
-                break;
-            }
-        }
-    }
+    let (n_types, total, torn) = scan_trace(path)?;
     // Pass 2 (streaming): fold into a ring of at most `rows` windows; the
     // totals merge every window as it closes, evicted ones included.
     let mut rw = bshm_obs::RollingWindows::new(width, rows, n_types);
     let mut totals = bshm_obs::Metrics::new("window", n_types);
-    for e in replay::stream_jsonl_file(std::path::Path::new(path))? {
+    for e in EventStream::open(path)? {
         let Ok(e) = e else { break };
         rw.observe(&e, |w| totals.merge(&w.metrics));
     }
@@ -1142,6 +1138,7 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
             )
         }
     };
+    let format = report_format(flags)?;
     let (events, alg, source) = xray_events(input.as_deref(), flags, out)?;
     let decisions: Vec<(u64, OpCounter)> = events
         .iter()
@@ -1201,8 +1198,8 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
         .iter()
         .map(|&r| (r.as_str().to_string(), totals.rejected(r)))
         .collect();
-    let rendered = match flags.get("format").unwrap_or("console") {
-        "json" => {
+    let rendered = match format {
+        ReportFormat::Json => {
             let report = XrayReport {
                 source,
                 algorithm: alg,
@@ -1218,7 +1215,7 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
             };
             serde_json::to_string_pretty(&report).expect("xray reports serialize") + "\n"
         }
-        "console" => {
+        ReportFormat::Console => {
             let mut buf: Vec<u8> = Vec::new();
             let b: Out = &mut buf;
             let _ = writeln!(b, "decision x-ray: {alg} ({source})");
@@ -1312,22 +1309,8 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
             }
             String::from_utf8(buf).map_err(|e| format!("BUG: non-utf8 report: {e}"))?
         }
-        other => {
-            return Err(format!(
-                "--format: expected `console` or `json`, got {other:?}"
-            ))
-        }
     };
-    match flags.get("out") {
-        Some(p) => {
-            std::fs::write(p, &rendered).map_err(|e| format!("writing {p}: {e}"))?;
-            let _ = writeln!(out, "wrote x-ray report to {p}");
-        }
-        None => {
-            let _ = write!(out, "{rendered}");
-        }
-    }
-    Ok(())
+    write_or_print(out, flags.get("out"), &rendered, "x-ray report")
 }
 
 /// Salvage statistics in a `replay --report` JSON document.
@@ -1362,7 +1345,7 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
     // leaves behind): replay the valid prefix, report what was dropped.
     let mut salvage_stats = None;
     let events = if flags.has("salvage") {
-        let s = bshm_obs::sink::salvage_jsonl(std::path::Path::new(path))?;
+        let s = EventStream::open(path)?.salvage()?;
         let _ = writeln!(
             out,
             "salvage:      kept {} events, dropped {} damaged line(s) / {} byte(s)",
@@ -1387,13 +1370,6 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
     for e in &events {
         *kinds.entry(e.kind()).or_default() += 1;
     }
-    let traced_cost: u64 = events
-        .iter()
-        .filter_map(|e| match *e {
-            bshm_obs::TraceEvent::CostAccrual { busy, rate, .. } => Some(busy * rate),
-            _ => None,
-        })
-        .sum();
     // An instance fixes the timeline's width to its catalog, including
     // top types the trace never opened.
     let instance = match flags.get("instance") {
@@ -1412,14 +1388,14 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
         Some(instance) => instance.catalog().len(),
         None => traced_types,
     };
+    let metrics = replay::metrics_from_events("trace", &events, n_types);
     let _ = writeln!(out, "trace:        {path}");
     let _ = writeln!(out, "events:       {}", events.len());
     for (kind, count) in &kinds {
         let _ = writeln!(out, "  {kind:<12} {count}");
     }
-    let _ = writeln!(out, "traced cost:  {traced_cost}");
+    let _ = writeln!(out, "traced cost:  {}", metrics.traced_cost);
 
-    let timeline = replay::replay_timeline(&events, n_types);
     let _ = writeln!(out, "\nbusy machines by type:");
     let mut header = format!("{:>8}", "t");
     for i in 0..n_types {
@@ -1427,17 +1403,18 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
     }
     let _ = writeln!(out, "{header}");
     let max_rows = flags.get_or("rows", 40usize)?;
-    for (i, (t, row)) in timeline.grid.iter().zip(timeline.busy.iter()).enumerate() {
+    let gauge = &metrics.gauge_timeline;
+    for (i, point) in gauge.iter().enumerate() {
         if i >= max_rows {
             let _ = writeln!(
                 out,
                 "  … {} more transitions (pass --rows N for more)",
-                timeline.grid.len() - max_rows
+                gauge.len() - max_rows
             );
             break;
         }
-        let mut line = format!("{t:>8}");
-        for v in row {
+        let mut line = format!("{:>8}", point.t);
+        for v in &point.busy {
             line.push_str(&format!(" {v:>6}"));
         }
         let _ = writeln!(out, "{line}");
@@ -1450,7 +1427,7 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
             let schedule: Schedule =
                 serde_json::from_str(&data).map_err(|e| format!("parsing {spath}: {e}"))?;
             let reference = machine_timeline(&schedule, instance);
-            replay::cross_check(&timeline, &reference)
+            replay::cross_check(&metrics, &reference)
                 .map_err(|e| format!("trace disagrees with schedule timeline: {e}"))?;
             let _ = writeln!(
                 out,
@@ -1483,7 +1460,7 @@ fn cmd_replay(flags: &Flags, out: Out) -> Result<(), String> {
             trace: path.to_string(),
             events: bshm_core::convert::count_u64(events.len()),
             kinds: kinds.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            traced_cost,
+            traced_cost: metrics.traced_cost,
             salvage: salvage_stats,
         };
         let json =
@@ -1609,13 +1586,8 @@ fn sat_cost(x: Cost) -> u64 {
 /// `gap-report`: per-step gap timeline + per-job cost attribution from a
 /// trace, as console text or JSON.
 fn cmd_gap_report(flags: &Flags, out: Out) -> Result<(), String> {
-    let path = match (flags.positional().first(), flags.get("trace")) {
-        (Some(p), _) => p.clone(),
-        (None, Some(p)) => p.to_string(),
-        (None, None) => {
-            return Err("gap-report needs a trace: `bshm gap-report TRACE.jsonl`".to_string())
-        }
-    };
+    let path = trace_arg(flags, "gap-report")?;
+    let format = report_format(flags)?;
     let events = load_trace(&path)?;
     let (timeline, recomputed) = gap_timeline_for(&events, flags, &path)?;
     let ledger = bshm_obs::CostLedger::from_events(&events);
@@ -1628,8 +1600,8 @@ fn cmd_gap_report(flags: &Flags, out: Out) -> Result<(), String> {
         ));
     }
     let max_rows = flags.get_or("rows", 40usize)?;
-    let rendered = match flags.get("format").unwrap_or("console") {
-        "json" => {
+    let rendered = match format {
+        ReportFormat::Json => {
             let total = ledger.total();
             let attribution = ledger
                 .table()
@@ -1659,7 +1631,7 @@ fn cmd_gap_report(flags: &Flags, out: Out) -> Result<(), String> {
             };
             serde_json::to_string_pretty(&report).expect("gap reports serialize") + "\n"
         }
-        "console" => {
+        ReportFormat::Console => {
             let mut buf: Vec<u8> = Vec::new();
             let b: Out = &mut buf;
             if recomputed {
@@ -1705,22 +1677,8 @@ fn cmd_gap_report(flags: &Flags, out: Out) -> Result<(), String> {
             );
             String::from_utf8(buf).map_err(|e| format!("BUG: non-utf8 report: {e}"))?
         }
-        other => {
-            return Err(format!(
-                "--format: expected `console` or `json`, got {other:?}"
-            ))
-        }
     };
-    match flags.get("out") {
-        Some(p) => {
-            std::fs::write(p, &rendered).map_err(|e| format!("writing {p}: {e}"))?;
-            let _ = writeln!(out, "wrote gap report to {p}");
-        }
-        None => {
-            let _ = write!(out, "{rendered}");
-        }
-    }
-    Ok(())
+    write_or_print(out, flags.get("out"), &rendered, "gap report")
 }
 
 fn cmd_validate(flags: &Flags, out: Out) -> Result<(), String> {
@@ -1863,7 +1821,7 @@ fn cmd_drill(flags: &Flags, out: Out) -> Result<(), String> {
             "--kind {kind:?}: expected crash-recovery, overload or all"
         ));
     }
-    let json = serde_json::to_string(&reports).map_err(|e| format!("encoding drills: {e}"))?;
+    let json = serde_json::to_string(&reports).map_err(|e| format!("encoding drills: {e}"))? + "\n";
     write_or_print(out, flags.get("report"), &json, "drill report")?;
     for r in &reports {
         let failed = r.checks.iter().filter(|c| !c.passed).count();
@@ -2018,7 +1976,8 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&sched).unwrap()).unwrap();
         let events =
             bshm_obs::replay::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-        let replayed = bshm_obs::replay::replay_timeline(&events, instance.catalog().len());
+        let replayed =
+            bshm_obs::replay::metrics_from_events("trace", &events, instance.catalog().len());
         let reference = machine_timeline(&schedule, &instance);
         bshm_obs::replay::cross_check(&replayed, &reference).unwrap();
 
@@ -2047,21 +2006,16 @@ mod tests {
         for alg in registry::names() {
             let mut collector = bshm_obs::Collector::default();
             let schedule = run_alg_traced(alg, &instance, &mut collector).unwrap();
-            let traced: u64 = collector
-                .events
-                .iter()
-                .filter_map(|e| match *e {
-                    bshm_obs::TraceEvent::CostAccrual { busy, rate, .. } => Some(busy * rate),
-                    _ => None,
-                })
-                .sum();
+            let replayed = bshm_obs::replay::metrics_from_events(
+                alg,
+                &collector.events,
+                instance.catalog().len(),
+            );
             assert_eq!(
-                u128::from(traced),
+                u128::from(replayed.traced_cost),
                 schedule_cost(&schedule, &instance),
                 "alg {alg}: traced cost diverges"
             );
-            let replayed =
-                bshm_obs::replay::replay_timeline(&collector.events, instance.catalog().len());
             let reference = machine_timeline(&schedule, &instance);
             bshm_obs::replay::cross_check(&replayed, &reference)
                 .unwrap_or_else(|e| panic!("alg {alg}: {e}"));
@@ -2727,71 +2681,6 @@ mod tests {
         assert_eq!(code, 0);
         let json = std::fs::read_to_string(&report2).unwrap();
         assert!(json.contains("\"salvage\":null"), "{json}");
-    }
-
-    /// Two tenants' events interleaved into ONE shared sink must restore
-    /// to exactly the digests their isolated logs produce — for every
-    /// registered algorithm, offline ones included (they serve through
-    /// `ScriptScheduler`, so the whole registry is service-hostable).
-    #[test]
-    fn interleaved_shared_log_restores_isolated_digests_for_all_algorithms() {
-        use bshm_faults::checkpoint::fnv1a64;
-        let make = |seed: u64| {
-            WorkloadSpec {
-                n: 24,
-                seed,
-                arrivals: spec::parse_arrivals("poisson:3").unwrap(),
-                durations: spec::parse_durations("uniform:8:25").unwrap(),
-                sizes: spec::parse_sizes("uniform:1:40").unwrap(),
-            }
-            .generate(spec::parse_catalog("dec:3:4").unwrap())
-        };
-        let (inst_a, inst_b) = (make(101), make(202));
-        let digest = |events: &[bshm_obs::TraceEvent]| -> u64 {
-            let mut text = String::new();
-            for e in events {
-                text.push_str(&serde_json::to_string(e).unwrap());
-                text.push('\n');
-            }
-            fnv1a64(text.as_bytes())
-        };
-        for alg in registry::names() {
-            let run = |instance: &Instance| -> Vec<bshm_obs::TraceEvent> {
-                let mut scheduler = online_or_scripted(alg, instance).unwrap();
-                let mut probe = bshm_obs::Deterministic(bshm_obs::Collector::default());
-                bshm_sim::run_online_probed(instance, &mut scheduler.as_mut(), &mut probe).unwrap();
-                probe.0.events
-            };
-            let (events_a, events_b) = (run(&inst_a), run(&inst_b));
-            // Interleave both tenants' streams into one shared sink.
-            let shared = tmp(&format!("shared-{alg}.jsonl"));
-            let path = std::path::Path::new(&shared);
-            let mut sink = bshm_serve::SharedSink::create(path).unwrap();
-            let mut ia = events_a.iter();
-            let mut ib = events_b.iter();
-            loop {
-                match (ia.next(), ib.next()) {
-                    (None, None) => break,
-                    (a, b) => {
-                        if let Some(e) = a {
-                            sink.write("a", e).unwrap();
-                        }
-                        if let Some(e) = b {
-                            sink.write("b", e).unwrap();
-                        }
-                    }
-                }
-            }
-            sink.finalize().unwrap();
-            // Splitting the shared log restores the isolated streams
-            // byte-for-byte (hence digest-for-digest).
-            let (split, dropped_lines, dropped_bytes) = bshm_serve::salvage_tagged(path).unwrap();
-            assert_eq!((dropped_lines, dropped_bytes), (0, 0), "{alg}");
-            assert_eq!(split["a"], events_a, "{alg}: tenant a stream diverged");
-            assert_eq!(split["b"], events_b, "{alg}: tenant b stream diverged");
-            assert_eq!(digest(&split["a"]), digest(&events_a), "{alg}");
-            assert_eq!(digest(&split["b"]), digest(&events_b), "{alg}");
-        }
     }
 
     #[test]

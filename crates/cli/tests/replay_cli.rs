@@ -1,9 +1,13 @@
-//! `bshm replay` cross-checks against the instance's catalog width.
+//! `bshm replay` and the other trace commands on awkward traces.
 //!
 //! A trace only names the machine types it opened, so its highest type
 //! index can sit below the catalog's. With `--instance` the replayed
 //! timeline must still have one column per catalog type, or the
 //! cross-check against the schedule's timeline fails on a width mismatch.
+//!
+//! A trace torn inside a multi-byte character is damage that salvage and
+//! `watch` cut off alike, and accruals whose cost overflows `u64` give the
+//! same saturated total in every command.
 
 use bshm_core::instance::Instance;
 use bshm_core::job::Job;
@@ -89,4 +93,86 @@ fn replay_rejects_a_trace_type_beyond_the_catalog() {
         out.contains("machine type 7 but the instance catalog has 3 type(s)"),
         "{out}"
     );
+}
+
+/// A `dec-online` trace of a three-job instance, written to `name`.
+fn small_trace(name: &str) -> String {
+    let (inst, trace) = (tmp(&format!("{name}.inst.json")), tmp(name));
+    let (code, out) = run_cmd(&format!("gen --n 3 --seed 1 --out {inst}"));
+    assert_eq!(code, 0, "{out}");
+    let (code, out) = run_cmd(&format!(
+        "solve --instance {inst} --alg dec-online --trace {trace}"
+    ));
+    assert_eq!(code, 0, "{out}");
+    trace
+}
+
+#[test]
+fn every_trace_command_saturates_an_overflowing_cost() {
+    let trace = small_trace("overflow.jsonl");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let mut events = bshm_obs::replay::parse_jsonl(&text).unwrap();
+    let accrual = events
+        .iter_mut()
+        .find(|e| matches!(e, bshm_obs::TraceEvent::CostAccrual { .. }))
+        .unwrap();
+    if let bshm_obs::TraceEvent::CostAccrual { busy, rate, .. } = accrual {
+        // (2^32) × (2^32 + 1) is 2^64 + 2^32: one past u64 by far.
+        (*busy, *rate) = (1 << 32, (1 << 32) + 1);
+    }
+    std::fs::write(&trace, bshm_obs::jsonl_string(&events).unwrap()).unwrap();
+    let saturated = u64::MAX.to_string();
+    let report = tmp("overflow-report.json");
+    let (code, out) = run_cmd(&format!("replay --trace {trace} --report {report}"));
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        out.contains(&format!("traced cost:  {saturated}\n")),
+        "{out}"
+    );
+    let json = std::fs::read_to_string(&report).unwrap();
+    assert!(
+        json.contains(&format!("\"traced_cost\":{saturated},")),
+        "{json}"
+    );
+    let (code, out) = run_cmd(&format!("top {trace}"));
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains(&format!("total cost: {saturated}\n")), "{out}");
+    let (code, out) = run_cmd(&format!("export-metrics --trace {trace} --format json"));
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        out.contains(&format!("\"traced_cost\": {saturated},")),
+        "{out}"
+    );
+}
+
+#[test]
+fn salvage_and_watch_keep_the_prefix_of_a_tail_torn_inside_a_character() {
+    let trace = small_trace("utf8.jsonl");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let mut bytes: Vec<u8> = text
+        .split_inclusive('\n')
+        .take(5)
+        .collect::<String>()
+        .into();
+    // A tail cut after the first byte of a two-byte character.
+    let tail = b"{\"Arrival\":{\"t\":9,\"job\":1,\"size\":\xc3";
+    bytes.extend_from_slice(tail);
+    std::fs::write(&trace, &bytes).unwrap();
+    let (code, out) = run_cmd(&format!("replay --trace {trace} --salvage"));
+    assert_eq!(code, 0, "{out}");
+    assert!(
+        out.contains(&format!(
+            "salvage:      kept 5 events, dropped 1 damaged line(s) / {} byte(s)\n",
+            tail.len()
+        )),
+        "{out}"
+    );
+    let (code, out) = run_cmd(&format!("watch {trace}"));
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("events:       5 over"), "{out}");
+    assert!(out.contains("tail:         torn mid-write"), "{out}");
+    // The strict read names the damaged line.
+    let (code, out) = run_cmd(&format!("replay --trace {trace}"));
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("trace line 6: "), "{out}");
 }

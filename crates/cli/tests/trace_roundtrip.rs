@@ -56,14 +56,13 @@ proptest! {
             // lower-bounds the catalog size.)
             let n_types = inst.catalog().len();
             prop_assert!(replay::infer_n_types(&parsed) <= n_types, "alg {}", alg);
-            let replayed = replay::replay_timeline(&parsed, n_types);
+            let metrics = replay::metrics_from_events(alg, &parsed, n_types);
             let reference = machine_timeline(&schedule, &inst);
-            if let Err(e) = replay::cross_check(&replayed, &reference) {
+            if let Err(e) = replay::cross_check(&metrics, &reference) {
                 prop_assert!(false, "alg {}: {}", alg, e);
             }
 
             // Folded metrics agree with the trace and the schedule.
-            let metrics = replay::metrics_from_events(alg, &parsed, n_types);
             prop_assert_eq!(metrics.arrivals as usize, inst.job_count(), "alg {}", alg);
             prop_assert_eq!(metrics.placements, metrics.arrivals, "alg {}", alg);
             prop_assert_eq!(

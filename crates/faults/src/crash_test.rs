@@ -12,8 +12,7 @@ use crate::plan::FaultPlan;
 use crate::recovery::RecoveryPolicy;
 use crate::runner::{run_online_faulted_with, FaultError, FaultReport, RunOptions};
 use bshm_core::Instance;
-use bshm_obs::sink::{salvage_jsonl, salvage_jsonl_str, Salvage};
-use bshm_obs::{jsonl_string, Collector, Deterministic};
+use bshm_obs::{jsonl_string, Collector, Deterministic, EventStream, Salvage};
 use bshm_sim::OnlineScheduler;
 use std::path::Path;
 
@@ -147,10 +146,11 @@ pub fn crash_test(
         let partial = dir.join("crash-trace.jsonl.partial");
         std::fs::write(&partial, torn.as_bytes())
             .map_err(|e| FaultError::Checkpoint(format!("write {}: {e}", partial.display())))?;
-        salvage_jsonl(&dir.join("crash-trace.jsonl")).map_err(FaultError::Checkpoint)?
+        EventStream::open(dir.join("crash-trace.jsonl")).and_then(EventStream::salvage)
     } else {
-        salvage_jsonl_str(&torn)
-    };
+        EventStream::new(torn.as_bytes()).salvage()
+    }
+    .map_err(FaultError::Checkpoint)?;
     let salvage_match = ref_events.len() >= salvage.events.len()
         && ref_events[..salvage.events.len()] == salvage.events[..];
 
@@ -222,7 +222,7 @@ mod tests {
         assert!(torn.starts_with("{\"a\":1}\n{\"b\":2}\n"));
         assert!(torn.len() < text.len());
         assert!(!torn.ends_with('\n'));
-        let s = salvage_jsonl_str(&torn);
+        let s = EventStream::new(torn.as_bytes()).salvage().unwrap();
         assert_eq!(s.events.len(), 0); // not real events, all malformed
         assert_eq!(s.dropped_lines, 3);
         // Every byte of the torn text is accounted for as dropped (the
@@ -253,7 +253,7 @@ mod tests {
         ];
         let full = jsonl_string(&events).unwrap();
         let torn = tear_final_line(&full);
-        let s = salvage_jsonl_str(&torn);
+        let s = EventStream::new(torn.as_bytes()).salvage().unwrap();
         assert_eq!(s.events.len(), 2);
         assert_eq!(s.dropped_lines, 1);
         let intact = jsonl_string(&events[..2]).unwrap().len();

@@ -554,8 +554,8 @@ mod tests {
         ];
         for e in events {
             let line = serde_json::to_string(&e).unwrap();
-            let back: TraceEvent = serde_json::from_str(&line).unwrap();
-            assert_eq!(back, e, "{line}");
+            let back = crate::replay::parse_jsonl(&line).unwrap();
+            assert_eq!(back, [e], "{line}");
         }
     }
 

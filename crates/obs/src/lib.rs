@@ -19,11 +19,17 @@
 //!   histograms, per-type cost).
 //! * [`clock`] is the workspace's one wall-clock read; probed runs time
 //!   each placement decision with it.
-//! * [`replay`] parses a trace back, reconstructs the per-type busy-machine
-//!   timeline from open/close events, and cross-checks it against
-//!   [`bshm_core::analysis::machine_timeline`]. [`replay::synthesize`]
-//!   produces the canonical event stream for a *finished* (offline)
-//!   schedule so offline and online runs trace identically.
+//! * [`replay`] reads traces back. [`EventStream`] is the one trace
+//!   reader: every command, the crash test and tenant restore decode
+//!   JSONL lines through it, strictly (the first damaged line is an
+//!   `Err`) or as a [`Salvage`] (the valid prefix plus the exact lines
+//!   and bytes lost). Both follow one torn-tail rule: a final line that
+//!   parses is kept, with or without its `\n`. [`replay::cross_check`]
+//!   compares the [`Metrics`] fold's busy-machine gauge against
+//!   [`bshm_core::analysis::machine_timeline`], and
+//!   [`replay::synthesize`] produces the canonical event stream for a
+//!   *finished* (offline) schedule so offline and online runs trace
+//!   identically.
 //! * [`prometheus`] renders [`Metrics`] in the Prometheus text-exposition
 //!   format — counters, gauges, and the latency/utilization histograms as
 //!   cumulative `_bucket` series — and ships the [`validate_exposition`]
@@ -41,9 +47,9 @@
 //!   proportionally by occupant size) with an exact integer total.
 //! * [`sink`] gives trace files crash semantics: [`TraceWriter`] streams
 //!   to `<path>.partial` and renames into place on finalize (optionally
-//!   flushing every line), [`salvage_jsonl`] recovers the valid prefix of
-//!   a truncated trace, and [`sink::atomic_write`] writes whole artifacts
-//!   (checkpoints, reports) torn-free.
+//!   flushing every line), and [`sink::atomic_write`] writes whole
+//!   artifacts (checkpoints, reports) torn-free. Reading a trace back,
+//!   `.partial` twin included, is [`EventStream::open`]'s job.
 //! * [`flight`] is the bounded flight recorder: [`FlightRecorder`] keeps
 //!   the last N events in a fixed-capacity ring and dumps them as an
 //!   atomic JSONL snapshot when the health plane asks for a post-mortem.
@@ -91,11 +97,10 @@ pub use probe::{Collector, Deterministic, NoProbe, Probe};
 pub use prometheus::{encode as encode_prometheus, validate_exposition};
 pub use recorder::{bucket_quantile, Metrics, Recorder};
 pub use replay::{
-    cross_check, machine_utilization, metrics_from_events, parse_jsonl, replay_timeline,
-    stream_jsonl_file, synthesize, synthesize_xray, EventStream, MachineUsage, ReplayedTimeline,
-    UsagePoint,
+    cross_check, machine_utilization, metrics_from_events, parse_jsonl, synthesize,
+    synthesize_xray, EventStream, MachineUsage, Salvage, UsagePoint,
 };
-pub use sink::{salvage_jsonl, salvage_jsonl_str, Salvage, TraceWriter};
+pub use sink::TraceWriter;
 pub use slo::{
     write_health_report, AlertFire, AlertRecord, HealthProbe, HealthReport, SloEngine, SloRule,
     SloSpec, DEFAULT_SLO_SPEC,

@@ -412,6 +412,17 @@ impl Metrics {
         }
     }
 
+    /// Busy machines of each type at time `t`: the gauge row in force at
+    /// `t` (zeros before the first transition).
+    #[must_use]
+    pub fn gauge_at(&self, t: TimePoint) -> Vec<u32> {
+        let i = self.gauge_timeline.partition_point(|g| g.t <= t);
+        match i.checked_sub(1) {
+            Some(i) => self.gauge_timeline[i].busy.clone(),
+            None => vec![0; self.gauge_timeline.first().map_or(0, |g| g.busy.len())],
+        }
+    }
+
     fn push_gauge(&mut self, t: TimePoint, busy_now: &[u32]) {
         // Coalesce transitions at the same instant into one point.
         if let Some(last) = self.gauge_timeline.last_mut() {

@@ -1,12 +1,15 @@
-//! Trace replay: parse a JSONL event log, rebuild the busy-machine
-//! timeline, and cross-check it against the schedule-derived
-//! [`bshm_core::analysis::machine_timeline`]. Also the inverse direction:
-//! [`synthesize`] the canonical event stream for a finished (offline)
-//! schedule, so offline and online runs produce comparable traces.
+//! Trace replay: read a JSONL event log back and cross-check the
+//! busy-machine timeline its [`crate::Metrics`] fold rebuilds against the
+//! schedule-derived [`bshm_core::analysis::machine_timeline`]. Also the
+//! inverse direction: [`synthesize`] the canonical event stream for a
+//! finished (offline) schedule, so offline and online runs produce
+//! comparable traces.
 
 use crate::event::TraceEvent;
 use crate::probe::Probe;
+use crate::Metrics;
 use bshm_core::analysis::MachineTimeline;
+use bshm_core::convert::count_u64;
 use bshm_core::instance::Instance;
 use bshm_core::job::JobId;
 use bshm_core::machine::TypeIndex;
@@ -15,39 +18,73 @@ use bshm_core::schedule::{MachineId, Schedule};
 use bshm_core::sweep::job_events;
 use bshm_core::time::TimePoint;
 use std::collections::{BTreeMap, HashMap};
-use std::io::BufRead;
+use std::io::{BufRead, BufReader};
+use std::path::Path;
 
-/// Parses a JSONL trace (one event per line; blank lines ignored).
+/// Parses a whole in-memory JSONL trace: an [`EventStream`] over its
+/// bytes, read strictly.
 ///
 /// # Errors
-/// Reports the first malformed line with its 1-based line number.
+/// Reports the first damaged line with its 1-based line number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let e: TraceEvent =
-            serde_json::from_str(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
-        events.push(e);
-    }
-    Ok(events)
+    EventStream::new(text.as_bytes()).collect()
 }
 
-/// A streaming JSONL trace reader: yields one event at a time without ever
-/// holding the whole trace in memory. This is what `watch`/`health` use to
-/// follow arbitrarily long (or still-growing) traces; [`parse_jsonl`]
-/// remains the whole-buffer convenience for small recorded files.
+/// The trace reader: yields one event per JSONL line without ever holding
+/// the whole trace in memory.
 ///
-/// Iteration yields `Err` once for the first malformed line (with its
-/// 1-based line number) and then stops — the same prefix semantics a
-/// salvage pass has, minus the recovery.
+/// Lines end at `\n` (a `\r` before it is dropped) and blank lines are
+/// skipped. A final line without its `\n` is read like any other, so a
+/// trace cut exactly between two events loses nothing. The first damaged
+/// line, one that is not UTF-8 or not an event, yields `Err` with its
+/// 1-based line number and ends the stream. [`EventStream::salvage`]
+/// drains the same stream instead of failing, so a salvage keeps exactly
+/// the lines a strict read accepts.
 #[derive(Debug)]
 pub struct EventStream<R> {
     reader: R,
+    /// The last line read, terminator included.
+    buf: Vec<u8>,
     line: u64,
-    buf: String,
-    done: bool,
+    stop: Option<Stop>,
+}
+
+/// Why an [`EventStream`] ended before the end of its input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stop {
+    /// A line was not UTF-8 or not an event.
+    Damaged,
+    /// The reader failed.
+    Unreadable,
+}
+
+/// What [`EventStream::salvage`] recovered from a damaged trace.
+#[derive(Clone, Debug, Default)]
+pub struct Salvage {
+    /// The valid prefix: every event up to the first damaged line.
+    pub events: Vec<TraceEvent>,
+    /// Non-blank lines dropped (the damaged line and everything after it).
+    pub dropped_lines: u64,
+    /// Bytes dropped: everything from the start of the first damaged line
+    /// to the end of the input, including line terminators.
+    pub dropped_bytes: u64,
+}
+
+impl EventStream<BufReader<std::fs::File>> {
+    /// Opens the trace at `path`, or its `.partial` twin (the artifact a
+    /// killed [`crate::sink::TraceWriter`] leaves behind) when `path`
+    /// itself cannot be opened.
+    ///
+    /// # Errors
+    /// When neither file can be opened.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, String> {
+        let path = path.as_ref();
+        let file = std::fs::File::open(path).or_else(|first| {
+            std::fs::File::open(crate::sink::partial_path(path))
+                .map_err(|_| format!("reading {}: {first}", path.display()))
+        })?;
+        Ok(EventStream::new(BufReader::new(file)))
+    }
 }
 
 impl<R: BufRead> EventStream<R> {
@@ -56,16 +93,49 @@ impl<R: BufRead> EventStream<R> {
     pub fn new(reader: R) -> Self {
         EventStream {
             reader,
+            buf: Vec::new(),
             line: 0,
-            buf: String::new(),
-            done: false,
+            stop: None,
         }
     }
 
-    /// 1-based number of the last line read (0 before the first).
-    #[must_use]
-    pub fn line(&self) -> u64 {
-        self.line
+    /// Drains the stream into its valid prefix: every event up to the
+    /// first damaged line, and how many non-blank lines and bytes the
+    /// input holds from that line's first byte on.
+    ///
+    /// # Errors
+    /// Only when reading fails; damage is what salvage is for.
+    pub fn salvage(mut self) -> Result<Salvage, String> {
+        let mut salvage = Salvage::default();
+        while let Some(item) = self.next() {
+            match item {
+                Ok(e) => salvage.events.push(e),
+                Err(e) if self.stop == Some(Stop::Unreadable) => return Err(e),
+                Err(_) => {
+                    salvage.dropped_lines = 1;
+                    salvage.dropped_bytes = count_u64(self.buf.len());
+                    while self.read_line().map_err(|e| self.read_error(&e))? {
+                        salvage.dropped_lines +=
+                            u64::from(!matches!(line_text(&self.buf), Ok(None)));
+                        salvage.dropped_bytes += count_u64(self.buf.len());
+                    }
+                }
+            }
+        }
+        Ok(salvage)
+    }
+
+    /// Reads the next line, terminator included, into `buf`; `false` at
+    /// the end of the input.
+    fn read_line(&mut self) -> std::io::Result<bool> {
+        self.buf.clear();
+        let n = self.reader.read_until(b'\n', &mut self.buf)?;
+        self.line += u64::from(n > 0);
+        Ok(n > 0)
+    }
+
+    fn read_error(&self, e: &std::io::Error) -> String {
+        format!("trace line {}: read: {e}", self.line + 1)
     }
 }
 
@@ -73,27 +143,25 @@ impl<R: BufRead> Iterator for EventStream<R> {
     type Item = Result<TraceEvent, String>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while !self.done {
-            self.buf.clear();
-            match self.reader.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    self.line += 1;
-                    let line = self.buf.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    return Some(match serde_json::from_str::<TraceEvent>(line) {
-                        Ok(e) => Ok(e),
-                        Err(e) => {
-                            self.done = true;
-                            Err(format!("trace line {}: {e}", self.line))
+        while self.stop.is_none() {
+            match self.read_line() {
+                Ok(false) => return None,
+                Ok(true) => {
+                    let event = match line_text(&self.buf) {
+                        Ok(None) => continue,
+                        Ok(Some(line)) => {
+                            serde_json::from_str::<TraceEvent>(line).map_err(|e| e.to_string())
                         }
-                    });
+                        Err(e) => Err(e.to_string()),
+                    };
+                    if event.is_err() {
+                        self.stop = Some(Stop::Damaged);
+                    }
+                    return Some(event.map_err(|e| format!("trace line {}: {e}", self.line)));
                 }
                 Err(e) => {
-                    self.done = true;
-                    return Some(Err(format!("trace line {}: read: {e}", self.line + 1)));
+                    self.stop = Some(Stop::Unreadable);
+                    return Some(Err(self.read_error(&e)));
                 }
             }
         }
@@ -101,48 +169,12 @@ impl<R: BufRead> Iterator for EventStream<R> {
     }
 }
 
-/// Opens `path` (falling back to its `.partial` twin, like salvage does)
-/// as a streaming event iterator.
-///
-/// # Errors
-/// When neither the file nor its `.partial` twin can be opened.
-pub fn stream_jsonl_file(
-    path: &std::path::Path,
-) -> Result<EventStream<std::io::BufReader<std::fs::File>>, String> {
-    let file = std::fs::File::open(path).or_else(|first| {
-        std::fs::File::open(crate::sink::partial_path(path))
-            .map_err(|_| format!("open {}: {first}", path.display()))
-    })?;
-    Ok(EventStream::new(std::io::BufReader::new(file)))
-}
-
-/// A per-type busy-machine step function rebuilt from a trace's
-/// `MachineOpen`/`MachineClose` events.
-///
-/// Same shape as [`MachineTimeline`], except rows align with grid points:
-/// `busy[i]` holds on `[grid[i], grid[i+1])` (and `busy[last]` from the
-/// last transition on — all zeros for a complete trace, since every
-/// machine closes when its last job departs).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplayedTimeline {
-    /// Times at which some machine opened or closed.
-    pub grid: Vec<TimePoint>,
-    /// `grid.len()` rows: busy machines of each type from that time on.
-    pub busy: Vec<Vec<u32>>,
-}
-
-impl ReplayedTimeline {
-    /// Busy machines of each type at time `t` (zeros before the first
-    /// transition).
-    #[must_use]
-    pub fn at(&self, t: TimePoint) -> Vec<u32> {
-        let types = self.busy.first().map_or(0, Vec::len);
-        if self.grid.is_empty() || t < self.grid[0] {
-            return vec![0; types];
-        }
-        let i = self.grid.partition_point(|&g| g <= t) - 1;
-        self.busy[i].clone()
-    }
+/// A line's text without its terminator; `None` for a blank line.
+fn line_text(line: &[u8]) -> Result<Option<&str>, std::str::Utf8Error> {
+    let text = std::str::from_utf8(line)?;
+    let text = text.strip_suffix('\n').unwrap_or(text);
+    let text = text.strip_suffix('\r').unwrap_or(text);
+    Ok((!text.trim().is_empty()).then_some(text))
 }
 
 /// The number of catalog types a trace references (1 + the highest
@@ -196,59 +228,8 @@ pub fn metrics_from_events(
     metrics
 }
 
-/// Rebuilds the busy-machine timeline from a trace.
-///
-/// Events must be in the order the probe emitted them (time-sorted,
-/// departure-side first at ties); only open/close events are consulted.
-/// `n_types` is the catalog size (machine type indices must be below it).
-#[must_use]
-pub fn replay_timeline(events: &[TraceEvent], n_types: usize) -> ReplayedTimeline {
-    let mut grid: Vec<TimePoint> = Vec::new();
-    let mut busy: Vec<Vec<u32>> = Vec::new();
-    let mut cur = vec![0u32; n_types];
-    for e in events {
-        let (t, ty, delta) = match *e {
-            TraceEvent::MachineOpen {
-                t, machine_type, ..
-            } => (t, machine_type.0, 1i64),
-            TraceEvent::MachineClose {
-                t, machine_type, ..
-            } => (t, machine_type.0, -1),
-            // Exhaustive on purpose: only open/close move the gauge, and a
-            // new variant must opt out here explicitly. A crash's busy span
-            // is closed by its own MachineClose, so MachineCrash (and the
-            // recovery/drop events) leave the gauge alone.
-            TraceEvent::Arrival { .. }
-            | TraceEvent::Placement { .. }
-            | TraceEvent::Departure { .. }
-            | TraceEvent::CostAccrual { .. }
-            | TraceEvent::MachineCrash { .. }
-            | TraceEvent::JobRecovery { .. }
-            | TraceEvent::JobDropped { .. }
-            | TraceEvent::Decision { .. }
-            | TraceEvent::GapSample { .. }
-            | TraceEvent::Alert { .. }
-            | TraceEvent::TenantLifecycle { .. }
-            | TraceEvent::Degradation { .. } => continue,
-        };
-        if ty < n_types {
-            cur[ty] = u32::try_from(i64::from(cur[ty]) + delta).unwrap_or(0);
-        }
-        if grid.last() == Some(&t) {
-            // grid and busy grow in lockstep, so a matching last grid point
-            // implies a last busy row; if-let keeps this panic-free.
-            if let Some(row) = busy.last_mut() {
-                *row = cur.clone();
-            }
-        } else {
-            grid.push(t);
-            busy.push(cur.clone());
-        }
-    }
-    ReplayedTimeline { grid, busy }
-}
-
-/// Verifies that a replayed timeline agrees *exactly* with the
+/// Verifies that the busy-machine gauge a trace folds into
+/// ([`Metrics::gauge_timeline`]) agrees *exactly* with the
 /// schedule-derived reference at every point of either grid.
 ///
 /// Both are piecewise-constant with transitions only at job
@@ -257,42 +238,44 @@ pub fn replay_timeline(events: &[TraceEvent], n_types: usize) -> ReplayedTimelin
 ///
 /// # Errors
 /// Describes the first disagreeing time point.
-pub fn cross_check(replay: &ReplayedTimeline, reference: &MachineTimeline) -> Result<(), String> {
+pub fn cross_check(metrics: &Metrics, reference: &MachineTimeline) -> Result<(), String> {
+    let gauge = &metrics.gauge_timeline;
     let ref_types = reference.busy.first().map_or(0, Vec::len);
-    let rep_types = replay.busy.first().map_or(0, Vec::len);
-    if !replay.busy.is_empty() && !reference.busy.is_empty() && ref_types != rep_types {
+    let rep_types = gauge.first().map_or(0, |g| g.busy.len());
+    if !gauge.is_empty() && !reference.busy.is_empty() && ref_types != rep_types {
         return Err(format!(
             "type count mismatch: trace has {rep_types}, schedule timeline has {ref_types}"
         ));
     }
-    let widen = |v: Vec<u32>, n: usize| {
-        let mut v = v;
+    let n = ref_types.max(rep_types);
+    let widen = |v: &[u32]| {
+        let mut v = v.to_vec();
         v.resize(n.max(v.len()), 0);
         v
     };
-    let n = ref_types.max(rep_types);
+    let check = |t: TimePoint, want: &[u32]| {
+        let got = metrics.gauge_at(t);
+        if widen(&got) == widen(want) {
+            Ok(())
+        } else {
+            Err(format!(
+                "at t={t}: trace says {got:?}, schedule timeline says {want:?}"
+            ))
+        }
+    };
     for (i, &t) in reference.grid.iter().enumerate() {
         // The last grid point opens no segment; the reference is zero there.
-        let want = if i + 1 < reference.grid.len() {
-            reference.busy[i].clone()
-        } else {
-            vec![0; ref_types]
-        };
-        let got = replay.at(t);
-        if widen(got.clone(), n) != widen(want.clone(), n) {
-            return Err(format!(
-                "at t={t}: trace says {got:?}, schedule timeline says {want:?}"
-            ));
+        match reference
+            .busy
+            .get(i)
+            .filter(|_| i + 1 < reference.grid.len())
+        {
+            Some(row) => check(t, row)?,
+            None => check(t, &vec![0; ref_types])?,
         }
     }
-    for &t in &replay.grid {
-        let got = replay.at(t);
-        let want = reference.at(t);
-        if widen(got.clone(), n) != widen(want.clone(), n) {
-            return Err(format!(
-                "at t={t}: trace says {got:?}, schedule timeline says {want:?}"
-            ));
-        }
+    for g in gauge {
+        check(g.t, &reference.at(g.t))?;
     }
     Ok(())
 }
@@ -650,15 +633,20 @@ mod tests {
         let (inst, s) = setup();
         let mut c = Collector::default();
         synthesize(&s, &inst, &mut c);
-        let replay = replay_timeline(&c.events, inst.catalog().len());
+        let replay = metrics_from_events("offline", &c.events, inst.catalog().len());
         let reference = machine_timeline(&s, &inst);
         cross_check(&replay, &reference).unwrap();
         // Spot checks, including the idle gap on the small machine.
-        assert_eq!(replay.at(0), vec![1, 1]);
-        assert_eq!(replay.at(17), vec![0, 1]);
-        assert_eq!(replay.at(25), vec![0, 0]);
-        assert_eq!(replay.at(35), vec![1, 0]);
-        assert_eq!(replay.at(40), vec![0, 0]);
+        assert_eq!(replay.gauge_at(0), vec![1, 1]);
+        assert_eq!(replay.gauge_at(17), vec![0, 1]);
+        assert_eq!(replay.gauge_at(25), vec![0, 0]);
+        assert_eq!(replay.gauge_at(35), vec![1, 0]);
+        assert_eq!(replay.gauge_at(40), vec![0, 0]);
+        // Before the first transition there is no row yet.
+        assert_eq!(
+            metrics_from_events("x", &[], 2).gauge_at(3),
+            Vec::<u32>::new()
+        );
     }
 
     #[test]
@@ -673,7 +661,7 @@ mod tests {
             .position(|e| matches!(e, TraceEvent::MachineClose { .. }))
             .unwrap();
         broken.remove(pos);
-        let replay = replay_timeline(&broken, inst.catalog().len());
+        let replay = metrics_from_events("broken", &broken, inst.catalog().len());
         let reference = machine_timeline(&s, &inst);
         assert!(cross_check(&replay, &reference).is_err());
     }
@@ -757,8 +745,7 @@ mod tests {
         assert_eq!(pools, vec![0, 1, 2, 2]);
         // The decision events do not disturb timeline replay, and the
         // plain synthesize stream stays decision-free.
-        let replay = replay_timeline(&c.events, inst.catalog().len());
-        cross_check(&replay, &machine_timeline(&s, &inst)).unwrap();
+        cross_check(&m, &machine_timeline(&s, &inst)).unwrap();
         let mut plain = Collector::default();
         synthesize(&s, &inst, &mut plain);
         assert_eq!(plain.events.len(), 21);
@@ -844,19 +831,12 @@ mod tests {
         let (inst, s) = setup();
         let mut c = Collector::default();
         synthesize(&s, &inst, &mut c);
-        let text: String = c
-            .events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
-            .collect();
+        let text = jsonl(&c.events);
         let streamed: Result<Vec<TraceEvent>, String> = EventStream::new(text.as_bytes()).collect();
-        assert_eq!(streamed.unwrap(), parse_jsonl(&text).unwrap());
-        // Blank lines are skipped, like parse_jsonl.
-        let padded = format!("\n{text}\n\n");
-        let streamed: Vec<TraceEvent> = EventStream::new(padded.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(streamed.len(), c.events.len());
+        assert_eq!(streamed.unwrap(), c.events);
+        // Blank lines are skipped and `\r\n` ends a line like `\n`.
+        let padded = format!("\n{}\n \r\n", text.replace('\n', "\r\n"));
+        assert_eq!(parse_jsonl(&padded).unwrap(), c.events);
     }
 
     #[test]
@@ -864,10 +844,7 @@ mod tests {
         let (inst, s) = setup();
         let mut c = Collector::default();
         synthesize(&s, &inst, &mut c);
-        let mut text: String = c.events[..3]
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
-            .collect();
+        let mut text = jsonl(&c.events[..3]);
         text.push_str("{torn");
         let mut stream = EventStream::new(text.as_bytes());
         let mut ok = 0;
@@ -885,6 +862,64 @@ mod tests {
     }
 
     #[test]
+    fn strict_and_salvage_reads_share_one_torn_tail_rule() {
+        let (inst, s) = setup();
+        let mut c = Collector::default();
+        synthesize(&s, &inst, &mut c);
+        let text = jsonl(&c.events[..3]);
+        // A final line that parses without its `\n` is kept by both reads.
+        let unterminated = text.strip_suffix('\n').unwrap();
+        assert_eq!(parse_jsonl(unterminated).unwrap(), c.events[..3]);
+        let kept = EventStream::new(unterminated.as_bytes()).salvage().unwrap();
+        assert_eq!(kept.events, c.events[..3]);
+        assert_eq!((kept.dropped_lines, kept.dropped_bytes), (0, 0));
+        // A half line is damage: the strict read fails on it, and salvage
+        // keeps the prefix and accounts for every byte of the tear.
+        let last = serde_json::to_string(&c.events[3]).unwrap();
+        let torn = format!("{text}{}", &last[..last.len() / 2]);
+        assert!(parse_jsonl(&torn).unwrap_err().contains("trace line 4"));
+        let cut = EventStream::new(torn.as_bytes()).salvage().unwrap();
+        assert_eq!(cut.events, c.events[..3]);
+        assert_eq!(cut.dropped_lines, 1);
+        assert_eq!(cut.dropped_bytes, (last.len() / 2) as u64);
+    }
+
+    #[test]
+    fn a_tail_torn_inside_a_character_is_damage_not_a_read_error() {
+        let (inst, s) = setup();
+        let mut c = Collector::default();
+        synthesize(&s, &inst, &mut c);
+        let mut bytes = jsonl(&c.events[..5]).into_bytes();
+        let intact = bytes.len();
+        // The first byte of a two-byte UTF-8 character, then the end.
+        bytes.extend_from_slice(b"{\"Arrival\":{\"t\":9,\"job\":1,\"size\":\xc3");
+        let err = EventStream::new(&bytes[..])
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_err();
+        assert!(err.starts_with("trace line 6: "), "{err}");
+        assert!(!err.contains("read:"), "{err}");
+        let s = EventStream::new(&bytes[..]).salvage().unwrap();
+        assert_eq!(s.events, c.events[..5]);
+        assert_eq!(s.dropped_lines, 1);
+        assert_eq!(s.dropped_bytes, (bytes.len() - intact) as u64);
+        // Damage is final: later lines are dropped and counted, blank
+        // ones only as bytes.
+        bytes.extend_from_slice(b"\n\n");
+        bytes.extend_from_slice(jsonl(&c.events[5..7]).as_bytes());
+        let s = EventStream::new(&bytes[..]).salvage().unwrap();
+        assert_eq!(s.events, c.events[..5]);
+        assert_eq!(s.dropped_lines, 3);
+        assert_eq!(s.dropped_bytes, (bytes.len() - intact) as u64);
+    }
+
+    fn jsonl(events: &[TraceEvent]) -> String {
+        events
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .collect()
+    }
+
+    #[test]
     fn stream_jsonl_file_falls_back_to_partial() {
         let dir = std::env::temp_dir().join("bshm-replay-stream-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -894,19 +929,18 @@ mod tests {
         let (inst, s) = setup();
         let mut c = Collector::default();
         synthesize(&s, &inst, &mut c);
-        let text: String = c
-            .events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
-            .collect();
-        std::fs::write(&partial, &text).unwrap();
+        std::fs::write(&partial, jsonl(&c.events)).unwrap();
         // Only the .partial twin exists: the stream still opens.
-        let streamed: Vec<TraceEvent> = stream_jsonl_file(&path)
+        let streamed: Vec<TraceEvent> = EventStream::open(&path)
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(streamed, c.events);
         let _ = std::fs::remove_file(&partial);
-        assert!(stream_jsonl_file(&path).is_err());
+        let err = EventStream::open(&path).unwrap_err();
+        assert!(
+            err.starts_with(&format!("reading {}: ", path.display())),
+            "{err}"
+        );
     }
 }

@@ -1,17 +1,17 @@
 //! Crash-safe trace output.
 //!
 //! Trace files are the replay substrate: a half-written JSONL file used to
-//! mean a hard `parse_jsonl` failure and a lost run. This module gives the
-//! writers and readers defined crash semantics:
+//! mean a hard parse failure and a lost run. This module gives the
+//! writers defined crash semantics, and [`crate::replay::EventStream`]
+//! reads what they leave:
 //!
 //! * [`TraceWriter`] streams to `<path>.partial` and renames to the final
 //!   path only on [`TraceWriter::finalize`], so the final path either holds
 //!   a complete trace or nothing at all. A process killed mid-run leaves
-//!   the `.partial` file behind for salvage. [`TraceWriter::extend`]
-//!   appends to a published trace under the same contract.
-//! * [`salvage_jsonl`] recovers the valid prefix of a truncated JSONL
-//!   trace (the crash-tolerant counterpart of [`crate::replay::parse_jsonl`],
-//!   which stays strict).
+//!   the `.partial` file behind, which [`crate::replay::EventStream::open`]
+//!   falls back to and [`crate::replay::EventStream::salvage`] recovers
+//!   the valid prefix of. [`TraceWriter::extend`] appends to a published
+//!   trace under the same contract.
 //! * [`atomic_write`] is the one-shot variant for whole artifacts
 //!   (checkpoints, reports): temp file + rename, never a torn file.
 //!
@@ -19,7 +19,6 @@
 //! the obs and sim crates are required (by the `no-raw-trace-write` lint in
 //! `bshm-analyze`) to route through this module.
 
-use crate::event::TraceEvent;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -40,9 +39,9 @@ pub fn partial_path(path: &Path) -> PathBuf {
 ///
 /// With `flush_each` enabled every completed line is flushed to the OS, so
 /// a killed process loses at most the line being written — the regime
-/// [`salvage_jsonl`] is built for. Without it the writer is buffered and a
-/// kill can lose up to a buffer's worth of events (the `.partial` name
-/// still marks the file as incomplete).
+/// [`crate::replay::EventStream::salvage`] is built for. Without it the
+/// writer is buffered and a kill can lose up to a buffer's worth of
+/// events (the `.partial` name still marks the file as incomplete).
 #[derive(Debug)]
 pub struct TraceWriter {
     final_path: PathBuf,
@@ -173,78 +172,6 @@ impl Write for TraceWriter {
     }
 }
 
-/// What [`salvage_jsonl`] recovered from a damaged trace.
-#[derive(Clone, Debug)]
-pub struct Salvage {
-    /// The valid prefix: every event up to the first damaged line.
-    pub events: Vec<TraceEvent>,
-    /// Non-empty lines dropped (the damaged line and everything after it).
-    pub dropped_lines: u64,
-    /// Bytes dropped: everything from the start of the first damaged line
-    /// to the end of the input, including line terminators.
-    pub dropped_bytes: u64,
-}
-
-/// Parses the longest valid prefix of a JSONL trace string.
-///
-/// The strict counterpart is [`crate::replay::parse_jsonl`], which fails on
-/// the first malformed line; salvage instead stops there and reports how
-/// many lines were abandoned, which is the right behavior for the tail of
-/// a file truncated by a crash or kill.
-#[must_use]
-pub fn salvage_jsonl_str(text: &str) -> Salvage {
-    let mut events = Vec::new();
-    let mut dropped = 0u64;
-    let mut dropped_bytes = 0u64;
-    let mut damaged = false;
-    let mut offset = 0usize;
-    for raw in text.split_inclusive('\n') {
-        let line = raw.trim_end_matches(['\n', '\r']);
-        if line.trim().is_empty() {
-            offset += raw.len();
-            continue;
-        }
-        if damaged {
-            dropped += 1;
-            offset += raw.len();
-            continue;
-        }
-        match serde_json::from_str::<TraceEvent>(line) {
-            Ok(e) => events.push(e),
-            Err(_) => {
-                damaged = true;
-                dropped += 1;
-                // Everything from this line's first byte to EOF is lost.
-                dropped_bytes = bshm_core::convert::count_u64(text.len() - offset);
-            }
-        }
-        offset += raw.len();
-    }
-    Salvage {
-        events,
-        dropped_lines: dropped,
-        dropped_bytes,
-    }
-}
-
-/// Reads a (possibly truncated) JSONL trace file and salvages its valid
-/// prefix. Looks for the file itself first, then its `.partial` twin (the
-/// artifact a killed [`TraceWriter`] leaves behind).
-///
-/// # Errors
-/// Reports only unreadable files; damage is what this function is for.
-pub fn salvage_jsonl(path: &Path) -> Result<Salvage, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(first) => {
-            let partial = partial_path(path);
-            std::fs::read_to_string(&partial)
-                .map_err(|_| format!("reading {}: {first}", path.display()))?
-        }
-    };
-    Ok(salvage_jsonl_str(&text))
-}
-
 /// Writes `contents` to `path` atomically: temp file + rename, so readers
 /// never observe a torn artifact. Used for checkpoints and final reports.
 ///
@@ -264,6 +191,8 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceEvent;
+    use crate::replay::{EventStream, Salvage};
     use bshm_core::job::JobId;
     use bshm_core::machine::TypeIndex;
     use bshm_core::schedule::MachineId;
@@ -292,6 +221,14 @@ mod tests {
                 machine: MachineId(0),
             },
         ]
+    }
+
+    fn salvage_text(text: &str) -> Salvage {
+        EventStream::new(text.as_bytes()).salvage().unwrap()
+    }
+
+    fn salvage_file(path: &Path) -> Salvage {
+        EventStream::open(path).unwrap().salvage().unwrap()
     }
 
     fn jsonl(events: &[TraceEvent]) -> String {
@@ -328,7 +265,7 @@ mod tests {
         assert!(!path.exists());
         assert!(partial_path(&path).exists());
         // Salvage finds the partial twin via the final path.
-        let s = salvage_jsonl(&path).unwrap();
+        let s = salvage_file(&path);
         assert_eq!(s.events.len(), 3);
         assert_eq!(s.dropped_lines, 0);
         assert_eq!(s.dropped_bytes, 0);
@@ -382,11 +319,11 @@ mod tests {
         // The abandoned `.partial` holds the published prefix plus a torn
         // line, which salvage recovers up to.
         let text = std::fs::read_to_string(partial_path(&path)).unwrap();
-        let s = salvage_jsonl_str(&text);
+        let s = salvage_text(&text);
         assert_eq!(s.events, events[..2].to_vec());
         assert_eq!(s.dropped_lines, 1);
         std::fs::remove_file(&path).unwrap();
-        let s = salvage_jsonl(&path).unwrap();
+        let s = salvage_file(&path);
         assert_eq!(s.events, events[..2].to_vec());
         let _ = std::fs::remove_file(partial_path(&path));
     }
@@ -412,7 +349,7 @@ mod tests {
         // Chop the final line mid-JSON, as a kill mid-write would.
         let cut = full.len() - 10;
         let truncated = &full[..cut];
-        let s = salvage_jsonl_str(truncated);
+        let s = salvage_text(truncated);
         assert_eq!(s.events.len(), 2);
         assert_eq!(s.dropped_lines, 1);
         // The torn tail is everything past the two intact lines.
@@ -429,7 +366,7 @@ mod tests {
         let mut text = jsonl(&events[..1]);
         text.push_str("{\"torn\n");
         text.push_str(&jsonl(&events[1..]));
-        let s = salvage_jsonl_str(&text);
+        let s = salvage_text(&text);
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.dropped_lines, 3);
         let intact = jsonl(&events[..1]).len();
@@ -438,11 +375,11 @@ mod tests {
 
     #[test]
     fn salvage_of_clean_trace_drops_nothing() {
-        let s = salvage_jsonl_str(&jsonl(&sample_events()));
+        let s = salvage_text(&jsonl(&sample_events()));
         assert_eq!(s.events.len(), 3);
         assert_eq!(s.dropped_lines, 0);
         assert_eq!(s.dropped_bytes, 0);
-        let s = salvage_jsonl_str("");
+        let s = salvage_text("");
         assert!(s.events.is_empty());
         assert_eq!(s.dropped_lines, 0);
         assert_eq!(s.dropped_bytes, 0);

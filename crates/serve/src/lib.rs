@@ -22,9 +22,6 @@
 //!   dispatch, the supervisor loop, graceful drain/shutdown.
 //! * [`transport`] — in-process and `std` Unix-socket transports plus
 //!   the retrying client harness.
-//! * [`log`] — the tenant-tagged shared event sink: many tenants'
-//!   events interleaved in one crash-safe JSONL file, split back out for
-//!   restore.
 //! * [`drill`] — the crash-recovery and overload drills gated in CI.
 //!
 //! Everything is deterministic on the event clock: retry-afters, ladder
@@ -36,7 +33,6 @@
 
 pub mod drill;
 pub mod ladder;
-pub mod log;
 pub mod queue;
 pub mod service;
 pub mod tenant;
@@ -44,9 +40,6 @@ pub mod transport;
 
 pub use drill::{crash_recovery_drill, overload_drill, DrillCheck, DrillReport};
 pub use ladder::{Ladder, RungTransition, CHEAPEST_ALGORITHM, RUNG_NAMES};
-pub use log::{
-    salvage_tagged, salvage_tagged_str, split_tagged_str, SharedSink, TaggedLine, TaggedSalvage,
-};
 pub use queue::{BoundedQueue, Overload};
 pub use service::{Service, ServiceConfig, ServiceStats};
 pub use tenant::{

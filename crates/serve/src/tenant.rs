@@ -31,11 +31,11 @@ use bshm_faults::{
     tear_final_line, Backoff, Checkpoint, FaultError, FaultOutcome, FaultPlan, PreparedRun,
     RunOptions,
 };
-use bshm_obs::sink::{salvage_jsonl, TraceWriter};
+use bshm_obs::sink::TraceWriter;
 use bshm_obs::slo::{HealthProbe, HealthReport, SloSpec};
 use bshm_obs::{
-    jsonl_string, write_jsonl, AlertReason, Collector, Deterministic, GapGauge, NoProbe, Probe,
-    TraceEvent,
+    jsonl_string, write_jsonl, AlertReason, Collector, Deterministic, EventStream, GapGauge,
+    NoProbe, Probe, Salvage, TraceEvent,
 };
 use bshm_sim::OnlineScheduler;
 use bshm_workload::catalogs::{dec_geometric, inc_geometric, sawtooth};
@@ -519,13 +519,9 @@ impl Tenant {
         };
         let salvage =
             if self.log_path.exists() || bshm_obs::sink::partial_path(&self.log_path).exists() {
-                salvage_jsonl(&self.log_path)?
+                EventStream::open(&self.log_path)?.salvage()?
             } else {
-                bshm_obs::sink::Salvage {
-                    events: Vec::new(),
-                    dropped_lines: 0,
-                    dropped_bytes: 0,
-                }
+                Salvage::default()
             };
         let target = stored.as_ref().map_or(0, |cp| cp.events_processed);
         let (replayed, new_cp) = if target == 0 {

@@ -3,8 +3,8 @@
 //! Each case decodes one JSON document as one target type, and
 //! `golden/decode.txt` holds one line per case: its name, then
 //! `Ok(<Debug of the value>)` or `Err(<error text>)`. The valid inputs are
-//! the committed encoder goldens, a checkpoint saved by `bshm serve` and
-//! shared-log lines. Every other case carries exactly one fault:
+//! the committed encoder goldens and a checkpoint saved by `bshm serve`.
+//! Every other case carries exactly one fault:
 //! truncation at each structural character, bad and `\u` escapes,
 //! nesting at the depth limit and one past it, integer range edges, a
 //! wrong type, a duplicate, unknown or missing key, an unknown variant or
@@ -16,7 +16,6 @@
 use bshm_core::{Catalog, Instance, Job, Schedule};
 use bshm_faults::Checkpoint;
 use bshm_obs::{AlertReason, TenantPhase, TraceEvent};
-use bshm_serve::TaggedLine;
 use serde::{Deserialize, Value};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -72,7 +71,7 @@ fn corpus() -> Corpus {
         ))
     };
 
-    // ---- valid inputs: the encoder goldens, a checkpoint, shared-log lines
+    // ---- valid inputs: the encoder goldens and a checkpoint
     for (i, line) in faults("events.jsonl").lines().enumerate() {
         c.add(
             format!("events.jsonl:{}", i + 1),
@@ -121,14 +120,6 @@ fn corpus() -> Corpus {
     }
     let checkpoint = local("checkpoint.json");
     c.add("checkpoint.json", decode::<Checkpoint>, &checkpoint);
-    let shared = local("shared_log.jsonl");
-    for (i, line) in shared.lines().enumerate() {
-        c.add(
-            format!("shared_log.jsonl:{}", i + 1),
-            decode::<TaggedLine>,
-            line,
-        );
-    }
 
     // ---- truncation at every structural point
     c.truncations("instance.pretty.json", decode::<Instance>, &instance);
@@ -137,8 +128,6 @@ fn corpus() -> Corpus {
         decode::<Checkpoint>,
         checkpoint.trim_end(),
     );
-    let placement = shared.lines().nth(2).unwrap();
-    c.truncations("shared_log.jsonl:3", decode::<TaggedLine>, placement);
     let decision = faults("events.jsonl").lines().nth(9).unwrap().to_string();
     c.truncations("events.jsonl:10", decode::<TraceEvent>, &decision);
 
@@ -286,11 +275,6 @@ fn corpus() -> Corpus {
         decode::<TraceEvent>,
         r#"{"GapSample":7}"#,
     );
-    c.add(
-        "TaggedLine event wrong type",
-        decode::<TaggedLine>,
-        r#"{"tenant":"a","event":{"Arrival":{"t":1,"job":-2,"size":3}}}"#,
-    );
 
     // ---- duplicate, unknown and missing keys
     let dup = r#"{"id":7,"size":3,"arrival":2,"departure":9,"size":5}"#;
@@ -393,11 +377,6 @@ fn corpus() -> Corpus {
 
     // ---- trailing characters and whitespace
     c.add("trailing word", decode::<Instance>, format!("{instance} x"));
-    c.add(
-        "trailing brace",
-        decode::<TaggedLine>,
-        format!("{placement}}}"),
-    );
     c.add("trailing second value", decode::<u64>, "1 2");
     c.add("trailing bracket", decode::<Vec<u64>>, "[1]]");
     c.add("trailing object", decode::<Value>, "{}{}");

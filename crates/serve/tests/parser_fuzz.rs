@@ -1,8 +1,8 @@
 //! Seeded mutation fuzzing of every input grammar.
 //!
 //! Each case takes a valid document — an instance, a CSV job trace, a
-//! checkpoint, a trace, a shared log, a fault plan, an SLO spec or a
-//! serve request script —
+//! checkpoint, a trace, a fault plan, an SLO spec or a serve request
+//! script —
 //! and applies one to three random edits: flip a byte, insert a byte,
 //! delete a byte or truncate. The reader must return `Ok` or `Err`,
 //! never panic. A decoded JSON value must also survive an encode and
@@ -16,8 +16,8 @@ use bshm_core::validate::validate_schedule;
 use bshm_core::{Catalog, Instance, MachineType};
 use bshm_faults::{Checkpoint, FaultPlan};
 use bshm_obs::slo::SloSpec;
-use bshm_obs::{salvage_jsonl_str, NoProbe};
-use bshm_serve::{builtin_factory, salvage_tagged_str, split_tagged_str, Service, ServiceConfig};
+use bshm_obs::{EventStream, NoProbe};
+use bshm_serve::{builtin_factory, Service, ServiceConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -105,24 +105,28 @@ fn check_checkpoint(text: &str) {
     }
 }
 
+/// The reader contract: salvage keeps exactly the events a strict read
+/// accepts, and the input splits into the bytes it kept (which read back
+/// strictly to those events) and the `dropped_bytes` from the first
+/// damaged line on.
 fn check_trace(text: &str) {
+    let salvage = EventStream::new(text.as_bytes()).salvage().unwrap();
     if let Ok(events) = bshm_obs::replay::parse_jsonl(text) {
         let encoded = bshm_obs::jsonl_string(&events).unwrap();
         assert_eq!(bshm_obs::replay::parse_jsonl(&encoded).unwrap(), events);
+        assert_eq!(salvage.events, events);
+        assert_eq!((salvage.dropped_lines, salvage.dropped_bytes), (0, 0));
     }
-    let salvage = salvage_jsonl_str(text);
-    assert!(salvage.events.len() <= text.lines().count());
-}
-
-fn check_shared_log(text: &str) {
-    let split = split_tagged_str(text);
-    let (salvaged, _, dropped_bytes) = salvage_tagged_str(text);
-    if let Ok(split) = split {
-        if text.ends_with('\n') {
-            assert_eq!(salvaged, split);
-        }
+    let dropped = usize::try_from(salvage.dropped_bytes).unwrap();
+    assert!(dropped <= text.len());
+    let (kept, torn) = text.as_bytes().split_at(text.len() - dropped);
+    let strict: Result<Vec<_>, _> = EventStream::new(kept).collect();
+    assert_eq!(strict.unwrap(), salvage.events);
+    assert_eq!(torn.is_empty(), salvage.dropped_lines == 0);
+    if !torn.is_empty() {
+        assert!(kept.is_empty() || kept.ends_with(b"\n"));
+        assert!(EventStream::new(torn).next().unwrap().is_err());
     }
-    assert!(dropped_bytes <= text.len() as u64);
 }
 
 fn check_fault_plan(text: &str) {
@@ -190,7 +194,6 @@ fn committed_regressions_stay_handled() {
             "csv" => check_csv(doc),
             "checkpoint" => check_checkpoint(doc),
             "trace" => check_trace(doc),
-            "shared-log" => check_shared_log(doc),
             "fault-plan" => check_fault_plan(doc),
             "slo" => check_slo(doc),
             "script" => check_script(doc, "regression"),
@@ -220,11 +223,6 @@ proptest! {
     #[test]
     fn mutated_traces_parse_or_fail_cleanly(edits in edits()) {
         check_trace(&mutate(&fixture("../faults/tests/golden/events.jsonl"), &edits));
-    }
-
-    #[test]
-    fn mutated_shared_logs_split_or_fail_cleanly(edits in edits()) {
-        check_shared_log(&mutate(&fixture("tests/golden/shared_log.jsonl"), &edits));
     }
 
     #[test]

@@ -36,7 +36,11 @@ pub fn decode<T: Deserialize>(text: &str) -> Result<T, Error> {
     // before it; only the error path pays for the second pass.
     result.map_err(|e| {
         let mut check = Decoder::new(text);
-        check.skip_value().and_then(|()| check.end()).err().unwrap_or(e)
+        check
+            .skip_value()
+            .and_then(|()| check.end())
+            .err()
+            .unwrap_or(e)
     })
 }
 
@@ -223,7 +227,9 @@ impl<'a> Decoder<'a> {
                 .unwrap_or(run.len());
             if len <= 19 && !matches!(run.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
                 self.pos += len;
-                return Ok(run[..len].iter().fold(0, |n, d| n * 10 + u64::from(d - b'0')));
+                return Ok(run[..len]
+                    .iter()
+                    .fold(0, |n, d| n * 10 + u64::from(d - b'0')));
             }
         }
         match self.number("expected unsigned integer")? {
@@ -535,9 +541,9 @@ impl<'a> Decoder<'a> {
             }
         }
         if !is_float && len > 0 {
-            let n = run[..len]
-                .iter()
-                .try_fold(0u64, |n, d| n.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+            let n = run[..len].iter().try_fold(0u64, |n, d| {
+                n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+            });
             match (n, digits > start) {
                 (Some(n), false) => return Ok(Value::UInt(n)),
                 (Some(n), true) => {
@@ -722,7 +728,10 @@ mod tests {
     fn keys_borrow_unless_escaped() {
         let mut de = Decoder::new(r#"{"plain":1,"\u0065scaped":2}"#);
         assert!(de.begin_object().unwrap());
-        assert!(matches!(de.next_key().unwrap(), Some(Cow::Borrowed("plain"))));
+        assert!(matches!(
+            de.next_key().unwrap(),
+            Some(Cow::Borrowed("plain"))
+        ));
         de.skip_value().unwrap();
         let key = de.next_key().unwrap().unwrap();
         assert!(matches!(&key, Cow::Owned(k) if k == "escaped"));
@@ -750,7 +759,10 @@ mod tests {
         assert_eq!(decode::<(u8, bool)>("[1, true]"), Ok((1, true)));
         for doc in ["[1]", "[1,true,2]", "{}", "7"] {
             let e = decode::<(u8, bool)>(doc).unwrap_err().0;
-            assert!(e.starts_with("expected 2-element array, got "), "{doc}: {e}");
+            assert!(
+                e.starts_with("expected 2-element array, got "),
+                "{doc}: {e}"
+            );
         }
     }
 }

@@ -402,9 +402,8 @@ fn render_enum_deserialize(name: &str, variants: &[Variant]) -> String {
         };
         tagged_arms.push_str(&format!("\"{vname}\" => {read},\n"));
     }
-    let unknown = format!(
-        "return ::std::result::Result::Err(__de.unknown_variant(__start, \"{name}\"))"
-    );
+    let unknown =
+        format!("return ::std::result::Result::Err(__de.unknown_variant(__start, \"{name}\"))");
     // Without data-carrying variants every tag is unknown.
     let tagged = if tagged_arms.is_empty() {
         format!("{unknown},")

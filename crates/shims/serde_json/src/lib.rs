@@ -139,7 +139,10 @@ mod tests {
             v,
             Value::Object(vec![
                 ("a".into(), Value::UInt(1)),
-                ("b".into(), Value::Array(vec![Value::Bool(true), Value::Null])),
+                (
+                    "b".into(),
+                    Value::Array(vec![Value::Bool(true), Value::Null])
+                ),
             ])
         );
         assert!(from_str::<u64>("12 troll").is_err());

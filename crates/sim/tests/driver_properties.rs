@@ -179,7 +179,7 @@ proptest! {
     fn trace_replays_to_the_analysis_timeline(inst in arb_instance()) {
         let mut collector = Collector::default();
         let s = run_online_probed(&inst, &mut Probing::default(), &mut collector).unwrap();
-        let replayed = replay::replay_timeline(&collector.events, inst.catalog().len());
+        let replayed = replay::metrics_from_events("probe", &collector.events, inst.catalog().len());
         let reference = machine_timeline(&s, &inst);
         prop_assert!(replay::cross_check(&replayed, &reference).is_ok());
     }
@@ -198,10 +198,9 @@ proptest! {
             .collect();
         let parsed = replay::parse_jsonl(&jsonl).unwrap();
         prop_assert_eq!(&parsed, &collector.events);
-        let replayed = replay::replay_timeline(&parsed, inst.catalog().len());
-        let reference = machine_timeline(&s, &inst);
-        prop_assert!(replay::cross_check(&replayed, &reference).is_ok());
         let folded = replay::metrics_from_events("probe", &parsed, inst.catalog().len());
+        let reference = machine_timeline(&s, &inst);
+        prop_assert!(replay::cross_check(&folded, &reference).is_ok());
         prop_assert_eq!(folded.placements, inst.job_count() as u64);
         prop_assert_eq!(folded.traced_cost, u64::try_from(schedule_cost(&s, &inst)).unwrap());
         // Truncating the last line must fail loudly, not parse partially.
