@@ -6,7 +6,9 @@
 //! generated instance, and the refusal of non-finite floats. Every
 //! expected string was captured from the earlier encoder, which built a
 //! `serde::Value` tree first, so any drift in key order, float format,
-//! escaping or indentation fails here.
+//! escaping or indentation fails here. The container rows of derived
+//! structs and struct variants were captured from the derive's
+//! call-by-call output, before compact mode wrote constant runs whole.
 
 use bshm_core::ops::{OpCounter, PlaceReason, RejectReason, RejectedCandidate};
 use bshm_core::{Instance, Job, JobId, MachineId, Schedule, TypeIndex};
@@ -207,7 +209,81 @@ fn generated_instance() -> Instance {
     .generate(dec_geometric(3, 4))
 }
 
-/// The std containers and integer extremes, each encoded on its own.
+/// A derived named struct.
+#[derive(serde::Serialize)]
+struct Point {
+    x: u64,
+    label: String,
+}
+
+/// A derived struct with no fields.
+#[derive(serde::Serialize)]
+struct Empty {}
+
+/// A derived enum with every variant shape, struct variants nesting
+/// derived structs.
+#[derive(serde::Serialize)]
+enum Shape {
+    Dot,
+    Moved {
+        by: i64,
+        at: Point,
+        trail: Vec<Point>,
+    },
+    V {},
+    Wrap(Point),
+    Pair(Empty, Option<Point>),
+}
+
+/// A derived struct whose fields nest derived types in every container.
+#[derive(serde::Serialize)]
+struct Nest {
+    empty: Empty,
+    shapes: Vec<Shape>,
+    maybe: Option<Box<Nest>>,
+    pair: (Empty, Shape),
+    by_name: BTreeMap<String, Shape>,
+    last: Point,
+}
+
+fn point(x: u64, label: &str) -> Point {
+    Point {
+        x,
+        label: label.to_string(),
+    }
+}
+
+fn moved(by: i64) -> Shape {
+    Shape::Moved {
+        by,
+        at: point(1, "at"),
+        trail: vec![point(2, AWKWARD), point(3, "")],
+    }
+}
+
+fn nest(inner: Option<Nest>) -> Nest {
+    let mut by_name = BTreeMap::new();
+    by_name.insert("v".to_string(), Shape::V {});
+    by_name.insert("dot".to_string(), Shape::Dot);
+    by_name.insert("moved".to_string(), moved(-4));
+    Nest {
+        empty: Empty {},
+        shapes: vec![
+            Shape::V {},
+            moved(5),
+            Shape::Wrap(point(6, "w")),
+            Shape::Dot,
+        ],
+        maybe: inner.map(Box::new),
+        pair: (Empty {}, Shape::Pair(Empty {}, None)),
+        by_name,
+        last: point(7, "last"),
+    }
+}
+
+/// The std containers and integer extremes, each encoded on its own,
+/// then derived structs and struct variants nested in containers and in
+/// each other.
 fn containers(pretty: bool) -> Vec<String> {
     fn enc<T: serde::Serialize>(v: &T, pretty: bool) -> String {
         if pretty {
@@ -239,6 +315,20 @@ fn containers(pretty: bool) -> Vec<String> {
         enc(&(true, false), pretty),
         enc(&(-7i8, 250u8), pretty),
         enc(&(1.5f32, "/"), pretty),
+        enc(&Empty {}, pretty),
+        enc(&Shape::V {}, pretty),
+        enc(&vec![Empty {}, Empty {}], pretty),
+        enc(&vec![Shape::V {}, Shape::V {}, Shape::Dot], pretty),
+        enc(&vec![point(0, "a"), point(u64::MAX, AWKWARD)], pretty),
+        enc(
+            &vec![Some(moved(i64::MIN)), None, Some(Shape::V {})],
+            pretty,
+        ),
+        enc(&(Empty {}, Shape::V {}), pretty),
+        enc(&(point(8, "t"), vec![Empty {}]), pretty),
+        enc(&Some(Shape::Pair(Empty {}, Some(point(9, "p")))), pretty),
+        enc(&nest(None).by_name, pretty),
+        enc(&nest(Some(nest(None))), pretty),
     ]
 }
 
@@ -318,6 +408,38 @@ fn floats_and_containers_match_golden() {
         containers(true).join("\n---\n"),
         include_str!("golden/containers.pretty.txt")
     );
+}
+
+/// A derived struct's compact runs end with `Encoder::end_literal`, which
+/// must leave the encoder as `end_object` does: as the first item of an
+/// array entered without `element`, it still puts a `,` before the next.
+#[test]
+fn end_literal_leaves_the_state_end_object_leaves() {
+    let by_calls = {
+        let mut enc = serde::Encoder::new(Vec::new(), false);
+        enc.begin_array();
+        enc.begin_object();
+        enc.field("\"k\"");
+        enc.u64(1);
+        enc.end_object();
+        enc.element();
+        enc.u64(2);
+        enc.end_array();
+        enc.finish().unwrap()
+    };
+    let by_runs = {
+        let mut enc = serde::Encoder::new(Vec::new(), false);
+        enc.begin_array();
+        enc.literal("{\"k\":");
+        enc.u64(1);
+        enc.end_literal("}");
+        enc.element();
+        enc.u64(2);
+        enc.end_array();
+        enc.finish().unwrap()
+    };
+    assert_eq!(by_runs, by_calls);
+    assert_eq!(by_runs, b"[{\"k\":1},2]");
 }
 
 #[test]

@@ -511,29 +511,17 @@ impl Metrics {
     }
 }
 
-/// Where a [`Recorder`] streams its JSONL event lines.
-enum Sink {
-    /// A caller-supplied writer (tests, pipes); flushed on finish.
-    Raw(Box<dyn Write>),
-    /// A crash-safe file: `<path>.partial` renamed into place on finish.
-    File(crate::sink::TraceWriter),
-}
+/// Bytes of whole JSONL lines a [`Recorder`] gathers before it hands
+/// them to its trace file in one write.
+pub const TRACE_BATCH: usize = 64 * 1024;
 
-impl Sink {
-    fn writer(&mut self) -> &mut dyn Write {
-        match self {
-            Sink::Raw(w) => w.as_mut(),
-            Sink::File(w) => w,
-        }
-    }
-}
-
-/// A probe that streams events to an optional JSONL writer and folds them
-/// into [`Metrics`] as they pass.
+/// A probe that streams events to an optional crash-safe JSONL trace
+/// file and folds them into [`Metrics`] as they pass.
 pub struct Recorder {
-    sink: Option<Sink>,
-    /// The JSONL line being written, reused across events.
-    line: Vec<u8>,
+    sink: Option<crate::sink::TraceWriter>,
+    /// Encoded lines not yet written to `sink`: always whole lines, and
+    /// written out once they reach [`TRACE_BATCH`] bytes.
+    batch: Vec<u8>,
     metrics: Metrics,
     busy_now: Vec<u32>,
     events_written: u64,
@@ -546,7 +534,7 @@ impl Recorder {
     pub fn new(algorithm: impl Into<String>, n_types: usize) -> Self {
         Recorder {
             sink: None,
-            line: Vec::new(),
+            batch: Vec::new(),
             metrics: Metrics::new(algorithm, n_types),
             busy_now: vec![0; n_types],
             events_written: 0,
@@ -554,29 +542,18 @@ impl Recorder {
         }
     }
 
-    /// Adds a JSONL sink for the raw event stream.
-    #[must_use]
-    pub fn with_writer(mut self, writer: Box<dyn Write>) -> Self {
-        self.sink = Some(Sink::Raw(writer));
-        self
-    }
-
     /// Adds a crash-safe file sink at `path` for the raw event stream:
     /// events stream to `<path>.partial`, renamed to `path` when the run
     /// finishes, so `path` never holds a torn trace (see [`crate::sink`]).
-    pub fn with_file(self, path: &str) -> std::io::Result<Self> {
-        self.with_file_opts(path, false)
-    }
-
-    /// [`Recorder::with_file`] with flush-per-event control: when
-    /// `flush_each` is set every event line reaches the OS immediately, so
-    /// a killed process loses at most the line in flight (at a syscall per
-    /// event).
-    pub fn with_file_opts(mut self, path: &str, flush_each: bool) -> std::io::Result<Self> {
-        let w = crate::sink::TraceWriter::create(path)
-            .map_err(std::io::Error::other)?
-            .flush_each(flush_each);
-        self.sink = Some(Sink::File(w));
+    ///
+    /// Lines reach `<path>.partial` in batches of about [`TRACE_BATCH`]
+    /// bytes that end on a line boundary, so the file never ends inside
+    /// a line. A killed process loses at most the batch in flight; a
+    /// recorder dropped without finishing writes it out first.
+    pub fn with_file(mut self, path: &str) -> std::io::Result<Self> {
+        let w = crate::sink::TraceWriter::create(path).map_err(std::io::Error::other)?;
+        self.sink = Some(w);
+        self.batch = Vec::with_capacity(TRACE_BATCH);
         Ok(self)
     }
 
@@ -586,22 +563,42 @@ impl Recorder {
         &self.metrics
     }
 
-    /// Consumes the recorder, flushing the sink, and returns the metrics.
+    /// Consumes the recorder, writing and publishing the trace, and
+    /// returns the metrics.
     ///
     /// # Errors
-    /// Returns the first I/O error hit while writing or flushing events.
+    /// Returns the first I/O error hit while writing or publishing events.
     pub fn into_metrics(mut self) -> Result<Metrics, String> {
         self.finish();
         match self.io_error.take() {
             Some(e) => Err(e),
-            None => Ok(self.metrics),
+            None => Ok(std::mem::replace(
+                &mut self.metrics,
+                Metrics::new(String::new(), 0),
+            )),
         }
     }
 
-    /// Number of events written to the sink so far.
+    /// Number of events encoded for the trace so far. Each reaches the
+    /// file with its batch, or at the latest when the recorder finishes.
     #[must_use]
     pub fn events_written(&self) -> u64 {
         self.events_written
+    }
+
+    /// Writes the pending lines to the trace file in one write.
+    fn write_batch(&mut self) {
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        if self.batch.is_empty() {
+            return;
+        }
+        if let Err(e) = sink.write_all(&self.batch) {
+            self.io_error
+                .get_or_insert_with(|| format!("writing trace: {e}"));
+        }
+        self.batch.clear();
     }
 }
 
@@ -617,41 +614,44 @@ impl std::fmt::Debug for Recorder {
 
 impl Probe for Recorder {
     fn record(&mut self, event: &TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            // One reused buffer and one write per line: a flush-per-line
-            // sink never sees half an event. Failures are reported through
-            // `into_metrics` instead of panicking mid-run.
-            self.line.clear();
-            let written = write_jsonl(&mut self.line, [event])
-                .and_then(|()| sink.writer().write_all(&self.line));
-            match written {
+        if self.sink.is_some() {
+            // Whole lines only: an event that fails to encode is cut back
+            // out, so every write ends on a line boundary. Failures are
+            // reported through `into_metrics` instead of panicking mid-run.
+            let start = self.batch.len();
+            match write_jsonl(&mut self.batch, [event]) {
                 Ok(()) => self.events_written += 1,
                 Err(e) => {
+                    self.batch.truncate(start);
                     self.io_error
                         .get_or_insert_with(|| format!("writing trace: {e}"));
                 }
+            }
+            if self.batch.len() >= TRACE_BATCH {
+                self.write_batch();
             }
         }
         self.metrics.update(event, &mut self.busy_now);
     }
 
     fn finish(&mut self) {
-        match self.sink.as_mut() {
-            Some(Sink::Raw(w)) => {
-                if let Err(e) = w.flush() {
-                    self.io_error
-                        .get_or_insert_with(|| format!("flushing trace: {e}"));
-                }
+        self.write_batch();
+        // Finalize renames `.partial` into place; idempotent, so a
+        // second finish() is safe.
+        if let Some(w) = self.sink.as_mut() {
+            if let Err(e) = w.finalize() {
+                self.io_error.get_or_insert(e);
             }
-            // Finalize renames `.partial` into place; idempotent, so a
-            // second finish() is safe.
-            Some(Sink::File(w)) => {
-                if let Err(e) = w.finalize() {
-                    self.io_error.get_or_insert(e);
-                }
-            }
-            None => {}
         }
+    }
+}
+
+/// A recorder dropped without finishing, on an error path or in a panic
+/// unwind, writes its pending lines to `<path>.partial` and leaves it
+/// unpublished, as a killed run would but without losing the batch.
+impl Drop for Recorder {
+    fn drop(&mut self) {
+        self.write_batch();
     }
 }
 
@@ -714,14 +714,41 @@ mod tests {
         assert_eq!(m.decision_ns_hist[2], 1);
     }
 
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("bshm-recorder-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(crate::sink::partial_path(&path));
+        path
+    }
+
+    /// `n` events, each encoding to a line of about 40 bytes.
+    fn arrivals(n: u32) -> Vec<TraceEvent> {
+        (0..n)
+            .map(|i| TraceEvent::Arrival {
+                t: u64::from(i),
+                job: JobId(i),
+                size: u64::from(1 + i % 7),
+            })
+            .collect()
+    }
+
     #[test]
     fn writer_gets_jsonl() {
-        let buf: Vec<u8> = Vec::new();
-        let mut rec = Recorder::new("test", 1).with_writer(Box::new(buf));
+        let path = tmp("jsonl.jsonl");
+        let mut rec = Recorder::new("test", 1)
+            .with_file(path.to_str().unwrap())
+            .unwrap();
+        let mut collected = crate::probe::Collector::default();
         feed(&mut rec);
+        feed(&mut collected);
         assert_eq!(rec.events_written(), 9);
-        // The sink is owned by the recorder; exercise the flush path.
         assert!(rec.into_metrics().is_ok());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            crate::event::jsonl_string(&collected.events).unwrap()
+        );
     }
 
     #[test]
@@ -747,16 +774,13 @@ mod tests {
 
     #[test]
     fn file_sink_is_crash_safe() {
-        let dir = std::env::temp_dir().join("bshm-recorder-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = tmp("trace.jsonl");
         let mut rec = Recorder::new("test", 1)
-            .with_file_opts(path.to_str().unwrap(), true)
+            .with_file(path.to_str().unwrap())
             .unwrap();
         feed(&mut rec);
-        // Mid-run, only the .partial file exists (flush-per-event keeps it
-        // current); the final path appears atomically at finish.
+        // Mid-run, only the .partial file exists; the final path appears
+        // atomically at finish.
         assert!(!path.exists());
         assert!(crate::sink::partial_path(&path).exists());
         assert!(rec.into_metrics().is_ok());
@@ -764,6 +788,60 @@ mod tests {
         assert!(!crate::sink::partial_path(&path).exists());
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(crate::replay::parse_jsonl(&text).unwrap().len(), 9);
+    }
+
+    #[test]
+    fn batches_end_on_line_boundaries_and_match_jsonl_string() {
+        let path = tmp("batches.jsonl");
+        let partial = crate::sink::partial_path(&path);
+        let mut rec = Recorder::new("test", 1)
+            .with_file(path.to_str().unwrap())
+            .unwrap();
+        let mut collected = crate::probe::Collector::default();
+        let mut batches = 0;
+        let mut on_disk = 0;
+        for e in arrivals(4 * TRACE_BATCH as u32 / 40) {
+            rec.record(&e);
+            collected.record(&e);
+            let len = std::fs::metadata(&partial).unwrap().len();
+            if len != on_disk {
+                // Each write is one whole batch of whole lines.
+                assert!(len - on_disk >= TRACE_BATCH as u64);
+                let text = std::fs::read(&partial).unwrap();
+                assert_eq!(text.last(), Some(&b'\n'));
+                batches += 1;
+                on_disk = len;
+            }
+        }
+        assert!(batches >= 3, "only {batches} batches written");
+        let written = rec.events_written();
+        rec.into_metrics().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, crate::event::jsonl_string(&collected.events).unwrap());
+        assert_eq!(written, text.lines().count() as u64);
+    }
+
+    #[test]
+    fn dropped_recorder_keeps_its_pending_lines() {
+        let path = tmp("dropped.jsonl");
+        let events = arrivals(3 * TRACE_BATCH as u32 / 40);
+        let mut rec = Recorder::new("test", 1)
+            .with_file(path.to_str().unwrap())
+            .unwrap();
+        for e in &events {
+            rec.record(e);
+        }
+        drop(rec);
+        // Not published: only the `.partial` holds the run.
+        assert!(!path.exists());
+        let s = crate::replay::EventStream::open(&path)
+            .unwrap()
+            .salvage()
+            .unwrap();
+        assert_eq!(s.events, events);
+        assert_eq!(s.dropped_lines, 0);
+        assert_eq!(s.dropped_bytes, 0);
+        let _ = std::fs::remove_file(crate::sink::partial_path(&path));
     }
 
     #[test]

@@ -39,9 +39,12 @@ pub fn partial_path(path: &Path) -> PathBuf {
 ///
 /// With `flush_each` enabled every completed line is flushed to the OS, so
 /// a killed process loses at most the line being written — the regime
-/// [`crate::replay::EventStream::salvage`] is built for. Without it the
-/// writer is buffered and a kill can lose up to a buffer's worth of
-/// events (the `.partial` name still marks the file as incomplete).
+/// [`crate::replay::EventStream::salvage`] is built for. Without it small
+/// writes gather in an 8 KiB buffer, and a kill can lose what it holds,
+/// possibly ending the file mid-line (the `.partial` name still marks the
+/// file as incomplete). A write of 8 KiB or more bypasses the buffer and
+/// goes straight to the file: [`crate::Recorder`] hands over whole lines
+/// in 64 KiB batches, so its `.partial` always ends on a line boundary.
 #[derive(Debug)]
 pub struct TraceWriter {
     final_path: PathBuf,

@@ -106,17 +106,12 @@ fn corpus() -> Corpus {
     ];
     let compact = faults("containers.jsonl");
     let pretty = faults("containers.pretty.txt");
-    for (i, (line, doc)) in compact.lines().zip(pretty.split("\n---\n")).enumerate() {
-        c.add(
-            format!("containers.jsonl:{}", i + 1),
-            container_types[i],
-            line,
-        );
-        c.add(
-            format!("containers.pretty.txt#{}", i + 1),
-            container_types[i],
-            doc,
-        );
+    // The std-container rows come first; the derived-type rows after them
+    // pin the encoder only, so the zip stops at the last std type.
+    let rows = compact.lines().zip(pretty.split("\n---\n"));
+    for (i, ((line, doc), decode)) in rows.zip(container_types).enumerate() {
+        c.add(format!("containers.jsonl:{}", i + 1), decode, line);
+        c.add(format!("containers.pretty.txt#{}", i + 1), decode, doc);
     }
     let checkpoint = local("checkpoint.json");
     c.add("checkpoint.json", decode::<Checkpoint>, &checkpoint);

@@ -82,7 +82,10 @@ pub trait Serialize {
 /// Compact and pretty output (2-space indent, like real `serde_json`)
 /// share one code path: pretty mode only adds the line breaks and the
 /// space after `:`. Containers are written as `begin_*`, then
-/// [`Encoder::element`] or a key before each item, then `end_*`.
+/// [`Encoder::element`] or a key before each item, then `end_*`. In
+/// compact mode a derived struct writes each constant run between its
+/// values, such as `{"Arrival":{"t":` or `,"job":`, with one
+/// [`Encoder::literal`] and its closing run with [`Encoder::end_literal`].
 ///
 /// Errors are sticky: the first non-finite float or I/O failure is kept,
 /// every later write is skipped, and [`Encoder::finish`] returns it.
@@ -198,10 +201,24 @@ impl<W: io::Write> Encoder<W> {
         self.put(if self.pretty { b": " } else { b":" });
     }
 
-    /// Writes JSON text that is already encoded (derive-generated unit
-    /// variant names).
+    /// Whether this encoder writes 2-space indented JSON.
+    pub fn is_pretty(&self) -> bool {
+        self.pretty
+    }
+
+    /// Writes JSON text that is already encoded: derive-generated unit
+    /// variant names, and the constant runs of a derived struct's compact
+    /// encoding.
     pub fn literal(&mut self, json: &str) {
         self.put(json.as_bytes());
+    }
+
+    /// Writes the closing run of a derived struct's compact encoding,
+    /// such as `}}`. The enclosing container then holds a value, as after
+    /// [`Encoder::end_object`].
+    pub fn end_literal(&mut self, json: &str) {
+        self.put(json.as_bytes());
+        self.first = false;
     }
 
     /// Writes `null`.

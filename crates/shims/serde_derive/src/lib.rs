@@ -13,9 +13,13 @@
 //!
 //! `Serialize` impls stream JSON through `serde::Encoder`. Field and
 //! variant names are JSON-encoded once, here at expansion time, and
-//! written as literals. `Deserialize` impls pull tokens from
-//! `serde::Decoder` and match object keys and variant tags, borrowed
-//! from the input, against the names as string patterns. Generics, `where` clauses and `#[serde(...)]`
+//! written as literals. A struct or struct variant has two bodies built
+//! from one field list: pretty mode makes one encoder call per bracket,
+//! key and separator, and compact mode writes each constant run between
+//! values, such as `{"Arrival":{"t":` or `,"job":`, in one call.
+//! `Deserialize` impls pull tokens from `serde::Decoder` and match object
+//! keys and variant tags, borrowed from the input, against the names as
+//! string patterns. Generics, `where` clauses and `#[serde(...)]`
 //! attributes are not supported and panic at expansion time with a clear
 //! message.
 
@@ -227,17 +231,41 @@ fn json_literal(name: &str) -> String {
 }
 
 /// Statements writing a JSON object with one member per field, each
-/// value read from the expression `{access}{field}`.
-fn object(fields: &[String], access: &str) -> String {
-    let mut code = String::from("__enc.begin_object();");
+/// value read from the expression `{access}{field}`, wrapped as
+/// `{"tag": {..}}` when `tag` names a struct variant.
+///
+/// Pretty mode builds the object call by call. Compact mode writes the
+/// bytes between values as whole runs, `{"tag":{"f0":`, `,"f1":`, …,
+/// `}}`; `Encoder::end_literal` leaves the encoder's state as the
+/// closing `end_object` would.
+fn object(tag: Option<&str>, fields: &[String], access: &str) -> String {
+    let mut pretty = String::from("__enc.begin_object();");
     for f in fields {
-        code.push_str(&format!(
+        pretty.push_str(&format!(
             " __enc.field({}); ::serde::Serialize::serialize({access}{f}, __enc);",
             json_literal(f)
         ));
     }
-    code.push_str(" __enc.end_object();");
-    code
+    pretty.push_str(" __enc.end_object();");
+    let mut compact = String::new();
+    let mut run = String::from("{");
+    if let Some(tag) = tag {
+        pretty = tagged(tag, &pretty);
+        run = format!("{{\"{tag}\":{{");
+    }
+    for (k, f) in fields.iter().enumerate() {
+        if k > 0 {
+            run.push(',');
+        }
+        run.push_str(&format!("\"{f}\":"));
+        compact.push_str(&format!(
+            " __enc.literal({run:?}); ::serde::Serialize::serialize({access}{f}, __enc);"
+        ));
+        run.clear();
+    }
+    run.push_str(if tag.is_some() { "}}" } else { "}" });
+    compact.push_str(&format!(" __enc.end_literal({run:?});"));
+    format!("if __enc.is_pretty() {{ {pretty} }} else {{{compact} }}")
 }
 
 /// Statements writing a JSON array of `exprs`.
@@ -264,7 +292,7 @@ fn tagged(vname: &str, inner: &str) -> String {
 fn render_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => object(fields, "&self."),
+        Shape::NamedStruct(fields) => object(None, fields, "&self."),
         Shape::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __enc);".to_string(),
         Shape::TupleStruct(n) => {
             let exprs: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
@@ -289,7 +317,7 @@ fn serialize_arm(name: &str, v: &Variant) -> String {
         VariantKind::Named(fields) => format!(
             "{name}::{vname} {{ {} }} => {{ {} }}",
             fields.join(", "),
-            tagged(vname, &object(fields, ""))
+            object(Some(vname), fields, "")
         ),
         VariantKind::Tuple(n) => {
             let binders: Vec<String> = (0..*n).map(|k| format!("x{k}")).collect();
