@@ -724,51 +724,32 @@ fn trace_arg(flags: &Flags, cmd: &str) -> Result<String, String> {
     }
 }
 
-/// One streaming pass over a trace: the catalog width it implies, the
-/// events before its first damaged line, and that line's error.
-fn scan_trace(path: &str) -> Result<(usize, u64, Option<String>), String> {
-    let (mut n_types, mut total) = (0, 0);
-    for e in EventStream::open(path)? {
-        match e {
-            Ok(e) => {
-                n_types = n_types.max(replay::event_type_bound(&e));
-                total += 1;
-            }
-            Err(damage) => return Ok((n_types, total, Some(damage))),
-        }
-    }
-    Ok((n_types, total, None))
-}
-
 /// `health`: evaluate an SLO spec against a recorded trace and exit
 /// nonzero on breach — the CI-facing face of the live health plane.
 ///
-/// The trace is read twice through the streaming iterator (never held in
-/// memory): one pass to infer the catalog width, one to feed the
-/// [`bshm_obs::HealthProbe`]. Because the engine's rules are event-clock
-/// and fixed-point only, the verdict for a given trace and spec is fully
-/// deterministic.
+/// The trace streams once through the [`bshm_obs::HealthProbe`] (never
+/// held in memory), whose per-type gauges widen as events name types; the
+/// first damaged line fails the command. Because the engine's rules are
+/// event-clock and fixed-point only, the verdict for a given trace and
+/// spec is fully deterministic.
 fn cmd_health(flags: &Flags, out: Out) -> Result<(), String> {
     let path = trace_arg(flags, "health")?;
     let spec = spec::parse_slo(flags.get("slo").unwrap_or(bshm_obs::DEFAULT_SLO_SPEC))?;
-    // Pass 1 (streaming): the catalog width.
-    let (n_types, total, damage) = scan_trace(&path)?;
-    if let Some(e) = damage {
-        return Err(e);
+    let events = EventStream::open(&path)?;
+    let mut probe = bshm_obs::HealthProbe::new(spec, 0, NoProbe);
+    if let Some(dir) = flags.get("snapshots") {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
+        probe = probe.with_snapshot_dir(dir);
+    }
+    let mut total = 0u64;
+    for e in events {
+        probe.record(&e?);
+        total += 1;
     }
     if total == 0 {
         return Err(format!(
             "trace {path} contains no events (empty or truncated file?)"
         ));
-    }
-    // Pass 2 (streaming): feed the health plane.
-    let mut probe = bshm_obs::HealthProbe::new(spec, n_types, NoProbe);
-    if let Some(dir) = flags.get("snapshots") {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        probe = probe.with_snapshot_dir(dir);
-    }
-    for e in EventStream::open(&path)? {
-        probe.record(&e?);
     }
     let (_, report) = probe.into_parts();
     let _ = writeln!(out, "trace:        {path} ({total} events)");
@@ -849,14 +830,22 @@ fn cmd_watch(flags: &Flags, out: Out) -> Result<(), String> {
 /// One render of the `watch` dashboard. Returns the parsed event count,
 /// so the `--follow` loop can report an idle poll.
 fn watch_render(out: Out, path: &str, width: u64, rows: usize) -> Result<u64, String> {
-    // Pass 1 (streaming): catalog width; a torn tail ends the view early.
-    let (n_types, total, torn) = scan_trace(path)?;
-    // Pass 2 (streaming): fold into a ring of at most `rows` windows; the
-    // totals merge every window as it closes, evicted ones included.
-    let mut rw = bshm_obs::RollingWindows::new(width, rows, n_types);
-    let mut totals = bshm_obs::Metrics::new("window", n_types);
+    // One streaming pass folds into a ring of at most `rows` windows; the
+    // totals merge every window as it closes, evicted ones included. A
+    // torn tail ends the view early.
+    let mut rw = bshm_obs::RollingWindows::new(width, rows, 0);
+    let mut totals = bshm_obs::Metrics::new("window", 0);
+    let (mut n_types, mut total, mut torn) = (0, 0u64, None);
     for e in EventStream::open(path)? {
-        let Ok(e) = e else { break };
+        let e = match e {
+            Ok(e) => e,
+            Err(damage) => {
+                torn = Some(damage);
+                break;
+            }
+        };
+        n_types = n_types.max(replay::event_type_bound(&e));
+        total += 1;
         rw.observe(&e, |w| totals.merge(&w.metrics));
     }
     // The in-progress window joins the dashboard.
@@ -1140,10 +1129,13 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
     };
     let format = report_format(flags)?;
     let (events, alg, source) = xray_events(input.as_deref(), flags, out)?;
-    let decisions: Vec<(u64, OpCounter)> = events
+    // (pool size, machines scanned) per decision.
+    let decisions: Vec<(u64, u64)> = events
         .iter()
         .filter_map(|e| match e {
-            bshm_obs::TraceEvent::Decision { pool_size, ops, .. } => Some((*pool_size, **ops)),
+            bshm_obs::TraceEvent::Decision { pool_size, ops, .. } => {
+                Some((*pool_size, ops.machines_scanned))
+            }
             _ => None,
         })
         .collect();
@@ -1152,10 +1144,7 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
     }
     let n_types = replay::infer_n_types(&events);
     let metrics = replay::metrics_from_events(&alg, &events, n_types);
-    let mut totals = OpCounter::default();
-    for (_, ops) in &decisions {
-        totals.fold(ops);
-    }
+    let totals = metrics.ops;
     let (p50, p95, p99) = (
         metrics.ops_per_decision_quantile(0.50).unwrap_or(0.0),
         metrics.ops_per_decision_quantile(0.95).unwrap_or(0.0),
@@ -1169,10 +1158,10 @@ fn cmd_xray(flags: &Flags, out: Out) -> Result<(), String> {
         .unwrap_or(1);
     let mut bucket_count = vec![0u64; n_buckets];
     let mut bucket_scanned = vec![0u64; n_buckets];
-    for &(pool, ops) in &decisions {
+    for &(pool, scanned) in &decisions {
         let b = pool_bucket(pool);
         bucket_count[b] += 1;
-        bucket_scanned[b] += ops.machines_scanned;
+        bucket_scanned[b] += scanned;
     }
     let scan_curve: Vec<XrayScanRow> = (0..n_buckets)
         .filter(|&b| bucket_count[b] > 0)
@@ -2541,6 +2530,15 @@ mod tests {
         // A narrow window and small ring: eviction keeps the view bounded.
         let (code, out) = run_cmd(&format!("watch {trace} --window 8 --rows 4"));
         assert_eq!(code, 0, "{out}");
+        // The header names the types the trace uses, learned in one pass.
+        let n_types = bshm_obs::replay::infer_n_types(
+            &bshm_obs::replay::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap(),
+        );
+        assert!(n_types > 0);
+        assert!(
+            out.contains(&format!(" over {n_types} machine type(s), window width 8")),
+            "{out}"
+        );
         assert!(out.contains("open machines |"), "{out}");
         assert!(out.contains("arrivals      |"), "{out}");
         assert!(out.contains("windows:"), "{out}");
@@ -2617,6 +2615,20 @@ mod tests {
         let (code, out) = run_cmd(&format!("health {faulted}"));
         assert_eq!(code, 2);
         assert!(out.contains("SLO breached"), "{out}");
+        // A torn last line stops the one strict pass at that line, before
+        // any verdict, with the error `watch` shows for the same tail.
+        let torn = tmp("health-torn.jsonl");
+        let text = std::fs::read_to_string(&faulted).unwrap();
+        std::fs::write(&torn, format!("{text}{{\"Arrival\":{{\"t\":9")).unwrap();
+        let (code, out) = run_cmd(&format!("health {torn}"));
+        assert_eq!(code, 2, "{out}");
+        let damage = out.trim_end().strip_prefix("error: ").unwrap();
+        let line = text.lines().count() + 1;
+        assert!(damage.starts_with(&format!("trace line {line}: ")), "{out}");
+        assert!(!out.contains("SLO"), "{out}");
+        let (code, watched) = run_cmd(&format!("watch {torn}"));
+        assert_eq!(code, 0, "{watched}");
+        assert!(watched.contains(&format!("({damage})")), "{watched}");
         // Unknown --expect reasons are rejected with the valid set.
         let (code, out) = run_cmd(&format!("health {faulted} --expect nope"));
         assert_eq!(code, 2);

@@ -15,14 +15,21 @@
 //!   instance twice under a [`bshm_obs::HealthProbe`] yields
 //!   byte-identical alert ledgers (the SLO engine reads only event-clock
 //!   and fixed-point quantities, never the wall clock).
+//! * **Width-free folds** — `bshm health` and `bshm watch` start their
+//!   gauges at zero types and let [`Metrics::update`](bshm_obs::Metrics::update)
+//!   widen them. Folded from width 0, a trace gives the metrics of a fold
+//!   at its inferred width (gauge rows equal after zero-padding), and
+//!   [`bshm_obs::RollingWindows`] gives the same open machines in every
+//!   window.
 
 use bshm_algos::registry;
-use bshm_cli::commands::run_alg_traced;
+use bshm_cli::commands::{online_or_scripted, run_alg_traced};
 use bshm_core::instance::Instance;
 use bshm_core::job::Job;
 use bshm_core::machine::{Catalog, MachineType};
-use bshm_obs::replay::metrics_from_events;
-use bshm_obs::{Collector, GapProbe, HealthProbe, Metrics, RollingWindows, SloSpec};
+use bshm_faults::{run_online_faulted, FaultPlan, SameType};
+use bshm_obs::replay::{infer_n_types, metrics_from_events};
+use bshm_obs::{Collector, GapProbe, HealthProbe, Metrics, RollingWindows, SloSpec, TraceEvent};
 use proptest::prelude::*;
 
 fn catalog() -> Catalog {
@@ -40,8 +47,64 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
     })
 }
 
+/// Folds `events` from width 0 and at their inferred width, whole-run
+/// and in rolling windows of `width`, and compares the two.
+fn check_width_free(label: &str, events: &[TraceEvent], width: u64) {
+    let n_types = infer_n_types(events);
+    let wide = metrics_from_events(label, events, n_types);
+    let mut narrow = metrics_from_events(label, events, 0);
+    // Rows taken before a type first appears are shorter.
+    for g in &mut narrow.gauge_timeline {
+        assert!(g.busy.len() <= n_types, "{}", label);
+        g.busy.resize(n_types, 0);
+    }
+    assert_eq!(&narrow, &wide, "{}", label);
+
+    let open_machines = |start: usize| {
+        let mut rw = RollingWindows::new(width, 4, start);
+        let mut open = Vec::new();
+        for e in events {
+            rw.observe(e, |w| open.push(w.open_machines()));
+        }
+        open.extend(rw.flush().map(bshm_obs::WindowStats::open_machines));
+        open
+    };
+    let open = open_machines(n_types);
+    assert!(
+        open.iter().any(|&n| n > 0),
+        "{}: no window has an open machine",
+        label
+    );
+    assert_eq!(open_machines(0), open, "{}", label);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// For every algorithm, and for one faulted run, a fold that starts
+    /// at width 0 loses nothing against one that starts at the width the
+    /// trace implies.
+    #[test]
+    fn width_zero_folds_match_the_inferred_width(
+        inst in arb_instance(),
+        width in 1u64..=64,
+    ) {
+        for alg in registry::names() {
+            let mut probe = GapProbe::new(inst.catalog(), Collector::default());
+            run_alg_traced(alg, &inst, &mut probe).unwrap();
+            let (collector, _) = probe.into_parts();
+            check_width_free(alg, &collector.events, width);
+        }
+        // Machine 0 exists right after the first arrival, so it crashes.
+        let first = inst.jobs().iter().map(|j| j.arrival).min().unwrap();
+        let plan = FaultPlan::parse(&format!("seeded:42:3,crash:{}:0", first + 1)).unwrap();
+        let mut scheduler = online_or_scripted("first-fit-any", &inst).unwrap();
+        let mut faulted = Collector::default();
+        run_online_faulted(&inst, &mut *scheduler, &plan, &mut SameType::default(), &mut faulted)
+            .unwrap();
+        prop_assert!(faulted.events.iter().any(|e| matches!(e, TraceEvent::MachineCrash { .. })));
+        check_width_free("first-fit-any --faults", &faulted.events, width);
+    }
 
     /// For every algorithm and an arbitrary window width: cutting the
     /// trace into rolling windows loses nothing — merging all closed

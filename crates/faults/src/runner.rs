@@ -233,7 +233,11 @@ impl Engine<'_, '_> {
     /// system without running to completion.
     fn drop_job(&mut self, t: TimePoint, job: JobId, reason: String) -> Result<(), FaultError> {
         if self.probing {
-            self.probe.on_job_dropped(t, job, &reason);
+            self.probe.record(&TraceEvent::JobDropped {
+                t,
+                job,
+                reason: reason.clone(),
+            });
         }
         self.report.dropped.push((job, reason));
         self.gone.insert(job);
@@ -248,7 +252,11 @@ impl Engine<'_, '_> {
         }
         self.open_since[m.0 as usize] = t;
         if self.probing {
-            self.probe.on_machine_open(t, m, self.pool.machine_type(m));
+            self.probe.record(&TraceEvent::MachineOpen {
+                t,
+                machine: m,
+                machine_type: self.pool.machine_type(m),
+            });
         }
     }
 
@@ -259,14 +267,48 @@ impl Engine<'_, '_> {
         let rate = self.pool.rate(m);
         let opened_at = self.open_since[m.0 as usize];
         if self.probing {
-            self.probe.on_cost_accrual(t, m, ty, t - opened_at, rate);
-            self.probe.on_machine_close(t, m, ty, opened_at);
+            self.probe.record(&TraceEvent::CostAccrual {
+                t,
+                machine: m,
+                machine_type: ty,
+                busy: t - opened_at,
+                rate,
+            });
+            self.probe.record(&TraceEvent::MachineClose {
+                t,
+                machine: m,
+                machine_type: ty,
+                opened_at,
+            });
         }
         let cost = u128::from(rate) * u128::from(t - opened_at);
         if self.recovery_owned.contains(&m) {
             self.report.recovery_cost += cost;
         } else {
             self.report.base_cost += cost;
+        }
+    }
+
+    /// The `Placement` event for `job` now on `m`; `m` was opened by this
+    /// decision when its id is past the `known_machines` the pool held
+    /// before it.
+    fn placement(
+        &self,
+        t: TimePoint,
+        job: JobId,
+        m: MachineId,
+        decision_ns: u64,
+        known_machines: usize,
+    ) -> TraceEvent {
+        TraceEvent::Placement {
+            t,
+            job,
+            machine: m,
+            machine_type: self.pool.machine_type(m),
+            opened: (m.0 as usize) >= known_machines,
+            decision_ns,
+            load: self.pool.load(m),
+            capacity: self.pool.capacity(m),
         }
     }
 
@@ -298,22 +340,12 @@ impl Engine<'_, '_> {
         self.pool
             .place(m, job.id, job.size)
             .map_err(|cause| SimError { job: job.id, cause })?;
-        let ty = self.pool.machine_type(m);
         if was_idle {
             self.mark_open(t, m);
         }
         if self.probing {
-            let opened = (m.0 as usize) >= known_machines;
-            self.probe.on_placement(
-                t,
-                job.id,
-                m,
-                ty,
-                opened,
-                decision_ns,
-                self.pool.load(m),
-                self.pool.capacity(m),
-            );
+            let event = self.placement(t, job.id, m, decision_ns, known_machines);
+            self.probe.record(&event);
         }
         self.push_decision(DecisionRecord::new(job.id.0, m.0, "place"))
     }
@@ -363,23 +395,20 @@ impl Engine<'_, '_> {
         self.foreign.insert(job.id);
         if reroute {
             if self.probing {
-                let opened = (target.0 as usize) >= known_machines;
-                self.probe.on_placement(
-                    t,
-                    job.id,
-                    target,
-                    ty,
-                    opened,
-                    decision_ns,
-                    self.pool.load(target),
-                    self.pool.capacity(target),
-                );
+                let event = self.placement(t, job.id, target, decision_ns, known_machines);
+                self.probe.record(&event);
             }
             self.push_decision(DecisionRecord::new(job.id.0, target.0, "reroute"))
         } else {
             if self.probing {
-                self.probe
-                    .on_job_recovery(t, job.id, job.from, target, ty, recovery_ns);
+                self.probe.record(&TraceEvent::JobRecovery {
+                    t,
+                    job: job.id,
+                    from: job.from,
+                    to: target,
+                    machine_type: ty,
+                    recovery_ns,
+                });
             }
             self.report.recovered += 1;
             self.push_decision(DecisionRecord::new(job.id.0, target.0, "recover"))
@@ -520,7 +549,11 @@ impl PreparedRun {
                 CLASS_ARRIVAL => {
                     let job = self.jobs[payload];
                     if engine.probing {
-                        engine.probe.on_arrival(t, job.id, job.size);
+                        engine.probe.record(&TraceEvent::Arrival {
+                            t,
+                            job: job.id,
+                            size: job.size,
+                        });
                     }
                     if job.size > engine.pool.catalog().max_capacity() {
                         // Oversized injection: infeasible by construction,
@@ -561,7 +594,11 @@ impl PreparedRun {
                     if !engine.gone.contains(&job.id) {
                         let m = engine.pool.remove(job.id, job.size);
                         if engine.probing {
-                            engine.probe.on_departure(t, job.id, m);
+                            engine.probe.record(&TraceEvent::Departure {
+                                t,
+                                job: job.id,
+                                machine: m,
+                            });
                         }
                         if engine.pool.is_idle(m) {
                             engine.close_busy_span(t, m);
@@ -583,9 +620,12 @@ impl PreparedRun {
                             engine.close_busy_span(t, m);
                         }
                         if engine.probing {
-                            engine
-                                .probe
-                                .on_machine_crash(t, m, ty, count_u64(displaced.len()));
+                            engine.probe.record(&TraceEvent::MachineCrash {
+                                t,
+                                machine: m,
+                                machine_type: ty,
+                                displaced: count_u64(displaced.len()),
+                            });
                         }
                         engine.report.crashes += 1;
                         engine.report.displaced += count_u64(displaced.len());

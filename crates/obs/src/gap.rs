@@ -373,8 +373,11 @@ impl<P: Probe> GapProbe<P> {
 
     fn emit_sample(&mut self, point: GapPoint) {
         self.timeline.points.push(point);
-        self.inner
-            .on_gap_sample(point.t, point.lower_bound, point.cost);
+        self.inner.record(&TraceEvent::GapSample {
+            t: point.t,
+            lower_bound: point.lower_bound,
+            cost: point.cost,
+        });
     }
 }
 

@@ -9,10 +9,12 @@
 //!   decisions, machine opens/closes, departures, and cost accruals, each
 //!   stamped with its simulation time. One JSON object per line makes a
 //!   run's trace (`*.jsonl`); [`write_jsonl`] is the one encoder for it.
-//! * [`Probe`] is the hook trait the simulator driver and the offline
-//!   solvers report into. [`NoProbe`] is the default; its
-//!   [`Probe::enabled`] returns `false` and monomorphizes every
-//!   instrumentation branch away, so un-probed runs pay nothing.
+//! * [`Probe`] is where the simulator driver, the fault engine and the
+//!   offline synthesizer report: each builds a [`TraceEvent`] and hands
+//!   it to [`Probe::record`], the one way to emit an event. [`NoProbe`] is
+//!   the default; its [`Probe::enabled`] returns `false` and
+//!   monomorphizes every instrumentation branch away, so un-probed runs
+//!   build no events.
 //! * [`Recorder`] is the workhorse probe: it streams events to a JSONL
 //!   writer and folds them into [`Metrics`] (counters, per-type
 //!   open-machine gauge timeline, utilization and decision-latency

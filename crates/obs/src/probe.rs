@@ -1,18 +1,13 @@
 //! The [`Probe`] trait: where instrumented code reports events.
 
 use crate::event::TraceEvent;
-use bshm_core::job::JobId;
-use bshm_core::machine::TypeIndex;
-use bshm_core::schedule::MachineId;
-use bshm_core::time::TimePoint;
 
 /// A sink for [`TraceEvent`]s.
 ///
-/// Instrumented code (the simulator driver, the offline-schedule
-/// synthesizer) calls the per-kind hooks; their default implementations
-/// build the event and forward to [`Probe::record`], so most probes
-/// implement only `record`. Probes that want to skip event construction
-/// for some kinds can override the individual hooks instead.
+/// Instrumented code (the simulator driver, the fault engine, the
+/// offline-schedule synthesizer, [`crate::GapProbe`]) builds each event
+/// as a [`TraceEvent`] literal and hands it to [`Probe::record`]; that is
+/// the one way to emit an event.
 ///
 /// Instrumentation sites are expected to guard on [`Probe::enabled`]:
 /// with [`NoProbe`] that guard is a monomorphized `false`, so disabled
@@ -28,188 +23,6 @@ pub trait Probe {
 
     /// Called once when the run completes; flush buffers here.
     fn finish(&mut self) {}
-
-    /// A job arrived.
-    fn on_arrival(&mut self, t: TimePoint, job: JobId, size: u64) {
-        self.record(&TraceEvent::Arrival { t, job, size });
-    }
-
-    /// A machine went idle → busy.
-    fn on_machine_open(&mut self, t: TimePoint, machine: MachineId, machine_type: TypeIndex) {
-        self.record(&TraceEvent::MachineOpen {
-            t,
-            machine,
-            machine_type,
-        });
-    }
-
-    /// The scheduler placed a job.
-    #[allow(clippy::too_many_arguments)]
-    fn on_placement(
-        &mut self,
-        t: TimePoint,
-        job: JobId,
-        machine: MachineId,
-        machine_type: TypeIndex,
-        opened: bool,
-        decision_ns: u64,
-        load: u64,
-        capacity: u64,
-    ) {
-        self.record(&TraceEvent::Placement {
-            t,
-            job,
-            machine,
-            machine_type,
-            opened,
-            decision_ns,
-            load,
-            capacity,
-        });
-    }
-
-    /// A job departed.
-    fn on_departure(&mut self, t: TimePoint, job: JobId, machine: MachineId) {
-        self.record(&TraceEvent::Departure { t, job, machine });
-    }
-
-    /// A machine finished a busy span of length `busy` at rate `rate`.
-    fn on_cost_accrual(
-        &mut self,
-        t: TimePoint,
-        machine: MachineId,
-        machine_type: TypeIndex,
-        busy: u64,
-        rate: u64,
-    ) {
-        self.record(&TraceEvent::CostAccrual {
-            t,
-            machine,
-            machine_type,
-            busy,
-            rate,
-        });
-    }
-
-    /// A machine went busy → idle.
-    fn on_machine_close(
-        &mut self,
-        t: TimePoint,
-        machine: MachineId,
-        machine_type: TypeIndex,
-        opened_at: TimePoint,
-    ) {
-        self.record(&TraceEvent::MachineClose {
-            t,
-            machine,
-            machine_type,
-            opened_at,
-        });
-    }
-
-    /// A machine was crashed/revoked, displacing `displaced` active jobs.
-    fn on_machine_crash(
-        &mut self,
-        t: TimePoint,
-        machine: MachineId,
-        machine_type: TypeIndex,
-        displaced: u64,
-    ) {
-        self.record(&TraceEvent::MachineCrash {
-            t,
-            machine,
-            machine_type,
-            displaced,
-        });
-    }
-
-    /// A displaced job was re-placed by a recovery policy.
-    fn on_job_recovery(
-        &mut self,
-        t: TimePoint,
-        job: JobId,
-        from: MachineId,
-        to: MachineId,
-        machine_type: TypeIndex,
-        recovery_ns: u64,
-    ) {
-        self.record(&TraceEvent::JobRecovery {
-            t,
-            job,
-            from,
-            to,
-            machine_type,
-            recovery_ns,
-        });
-    }
-
-    /// A job was dropped (with the reason) instead of being placed.
-    fn on_job_dropped(&mut self, t: TimePoint, job: JobId, reason: &str) {
-        self.record(&TraceEvent::JobDropped {
-            t,
-            job,
-            reason: reason.to_string(),
-        });
-    }
-
-    /// A gap-gauge sample: the incrementally maintained lower bound and
-    /// the cost accrued so far, both at time `t`.
-    fn on_gap_sample(&mut self, t: TimePoint, lower_bound: u64, cost: u64) {
-        self.record(&TraceEvent::GapSample {
-            t,
-            lower_bound,
-            cost,
-        });
-    }
-
-    /// An SLO alert fired by the health plane over the closed window
-    /// `window` ending at `t`. Values are fixed-point milli-units.
-    fn on_alert(
-        &mut self,
-        t: TimePoint,
-        reason: crate::event::AlertReason,
-        window: u64,
-        value_milli: u64,
-        threshold_milli: u64,
-    ) {
-        self.record(&TraceEvent::Alert {
-            t,
-            reason,
-            window,
-            value_milli,
-            threshold_milli,
-        });
-    }
-
-    /// A resident-service tenant entered a new lifecycle phase.
-    fn on_tenant_lifecycle(
-        &mut self,
-        t: TimePoint,
-        tenant: &str,
-        phase: crate::event::TenantPhase,
-    ) {
-        self.record(&TraceEvent::TenantLifecycle {
-            t,
-            tenant: tenant.to_string(),
-            phase,
-        });
-    }
-
-    /// The resident service's degradation ladder moved between rungs.
-    fn on_degradation(
-        &mut self,
-        t: TimePoint,
-        from_rung: u64,
-        to_rung: u64,
-        reason: crate::event::AlertReason,
-    ) {
-        self.record(&TraceEvent::Degradation {
-            t,
-            from_rung,
-            to_rung,
-            reason,
-        });
-    }
 }
 
 impl<P: Probe + ?Sized> Probe for &mut P {
@@ -317,55 +130,25 @@ impl<P: Probe> Probe for Deterministic<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_hooks_build_events() {
-        let mut c = Collector::default();
-        c.on_arrival(1, JobId(0), 2);
-        c.on_machine_open(1, MachineId(0), TypeIndex(0));
-        c.on_placement(1, JobId(0), MachineId(0), TypeIndex(0), true, 10, 2, 4);
-        c.on_departure(5, JobId(0), MachineId(0));
-        c.on_cost_accrual(5, MachineId(0), TypeIndex(0), 4, 1);
-        c.on_machine_close(5, MachineId(0), TypeIndex(0), 1);
-        let kinds: Vec<&str> = c.events.iter().map(TraceEvent::kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                "Arrival",
-                "MachineOpen",
-                "Placement",
-                "Departure",
-                "CostAccrual",
-                "MachineClose"
-            ]
-        );
-    }
-
-    #[test]
-    fn fault_hooks_build_events() {
-        let mut c = Collector::default();
-        c.on_machine_crash(4, MachineId(0), TypeIndex(1), 3);
-        c.on_job_recovery(4, JobId(2), MachineId(0), MachineId(5), TypeIndex(0), 77);
-        c.on_job_dropped(4, JobId(3), "no capacity");
-        let kinds: Vec<&str> = c.events.iter().map(TraceEvent::kind).collect();
-        assert_eq!(kinds, ["MachineCrash", "JobRecovery", "JobDropped"]);
-        assert_eq!(
-            c.events[2],
-            TraceEvent::JobDropped {
-                t: 4,
-                job: JobId(3),
-                reason: "no capacity".to_string(),
-            }
-        );
-    }
+    use crate::replay::parse_jsonl;
+    use bshm_core::job::JobId;
 
     #[test]
     fn deterministic_zeroes_wall_clock_fields() {
         let mut d = Deterministic(Collector::default());
         assert!(d.enabled());
-        d.on_placement(1, JobId(0), MachineId(0), TypeIndex(0), true, 999, 2, 4);
-        d.on_job_recovery(2, JobId(0), MachineId(0), MachineId(1), TypeIndex(0), 999);
-        d.on_arrival(3, JobId(1), 1);
+        let trace = parse_jsonl(concat!(
+            r#"{"Placement":{"t":1,"job":0,"machine":0,"machine_type":0,"opened":true,"decision_ns":999,"load":2,"capacity":4}}"#,
+            "\n",
+            r#"{"JobRecovery":{"t":2,"job":0,"from":0,"to":1,"machine_type":0,"recovery_ns":999}}"#,
+            "\n",
+            r#"{"Arrival":{"t":3,"job":1,"size":1}}"#,
+            "\n",
+        ))
+        .unwrap();
+        for e in &trace {
+            d.record(e);
+        }
         d.finish();
         match &d.0.events[0] {
             TraceEvent::Placement { decision_ns, .. } => assert_eq!(*decision_ns, 0),
@@ -375,6 +158,7 @@ mod tests {
             TraceEvent::JobRecovery { recovery_ns, .. } => assert_eq!(*recovery_ns, 0),
             e => panic!("unexpected {e:?}"),
         }
+        assert_eq!(d.0.events[2], trace[2]);
         assert_eq!(d.0.events.len(), 3);
     }
 
@@ -385,7 +169,11 @@ mod tests {
         let mut c = Collector::default();
         let r = &mut c;
         assert!(r.enabled());
-        r.on_arrival(0, JobId(1), 1);
+        r.record(&TraceEvent::Arrival {
+            t: 0,
+            job: JobId(1),
+            size: 1,
+        });
         assert_eq!(c.events.len(), 1);
     }
 }

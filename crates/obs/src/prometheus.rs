@@ -590,25 +590,37 @@ mod tests {
     use super::*;
     use crate::probe::Probe;
     use crate::recorder::Recorder;
+    use crate::replay::parse_jsonl;
     use bshm_core::job::JobId;
-    use bshm_core::machine::TypeIndex;
     use bshm_core::schedule::MachineId;
 
-    fn sample_metrics() -> Metrics {
-        let mut rec = Recorder::new("dec-online", 2);
-        rec.on_arrival(0, JobId(0), 2);
-        rec.on_machine_open(0, MachineId(0), TypeIndex(0));
-        rec.on_placement(0, JobId(0), MachineId(0), TypeIndex(0), true, 100, 2, 4);
-        rec.on_arrival(1, JobId(1), 8);
-        rec.on_machine_open(1, MachineId(1), TypeIndex(1));
-        rec.on_placement(1, JobId(1), MachineId(1), TypeIndex(1), true, 7, 8, 16);
-        rec.on_departure(5, JobId(0), MachineId(0));
-        rec.on_cost_accrual(5, MachineId(0), TypeIndex(0), 5, 2);
-        rec.on_machine_close(5, MachineId(0), TypeIndex(0), 0);
-        rec.on_departure(9, JobId(1), MachineId(1));
-        rec.on_cost_accrual(9, MachineId(1), TypeIndex(1), 8, 3);
-        rec.on_machine_close(9, MachineId(1), TypeIndex(1), 1);
+    /// The metrics of `jsonl`'s events (one per line) over `n_types`.
+    fn metrics_of(n_types: usize, jsonl: &str) -> Metrics {
+        let mut rec = Recorder::new("dec-online", n_types);
+        for e in &parse_jsonl(jsonl).unwrap() {
+            rec.record(e);
+        }
         rec.into_metrics().unwrap()
+    }
+
+    fn sample_metrics() -> Metrics {
+        metrics_of(
+            2,
+            r#"
+            {"Arrival":{"t":0,"job":0,"size":2}}
+            {"MachineOpen":{"t":0,"machine":0,"machine_type":0}}
+            {"Placement":{"t":0,"job":0,"machine":0,"machine_type":0,"opened":true,"decision_ns":100,"load":2,"capacity":4}}
+            {"Arrival":{"t":1,"job":1,"size":8}}
+            {"MachineOpen":{"t":1,"machine":1,"machine_type":1}}
+            {"Placement":{"t":1,"job":1,"machine":1,"machine_type":1,"opened":true,"decision_ns":7,"load":8,"capacity":16}}
+            {"Departure":{"t":5,"job":0,"machine":0}}
+            {"CostAccrual":{"t":5,"machine":0,"machine_type":0,"busy":5,"rate":2}}
+            {"MachineClose":{"t":5,"machine":0,"machine_type":0,"opened_at":0}}
+            {"Departure":{"t":9,"job":1,"machine":1}}
+            {"CostAccrual":{"t":9,"machine":1,"machine_type":1,"busy":8,"rate":3}}
+            {"MachineClose":{"t":9,"machine":1,"machine_type":1,"opened_at":1}}
+            "#,
+        )
     }
 
     #[test]
@@ -626,11 +638,14 @@ mod tests {
 
     #[test]
     fn encode_includes_fault_counters() {
-        let mut rec = Recorder::new("dec-online", 1);
-        rec.on_machine_crash(4, MachineId(0), TypeIndex(0), 2);
-        rec.on_job_recovery(4, JobId(0), MachineId(0), MachineId(1), TypeIndex(0), 50);
-        rec.on_job_dropped(4, JobId(1), "no capacity");
-        let m = rec.into_metrics().unwrap();
+        let m = metrics_of(
+            1,
+            r#"
+            {"MachineCrash":{"t":4,"machine":0,"machine_type":0,"displaced":2}}
+            {"JobRecovery":{"t":4,"job":0,"from":0,"to":1,"machine_type":0,"recovery_ns":50}}
+            {"JobDropped":{"t":4,"job":1,"reason":"no capacity"}}
+            "#,
+        );
         let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("bshm_machine_crashes_total{algorithm=\"dec-online\"} 1"));
@@ -642,10 +657,13 @@ mod tests {
 
     #[test]
     fn encode_includes_alert_counters() {
-        let mut rec = Recorder::new("dec-online", 1);
-        rec.on_alert(10, AlertReason::DisplacementStorm, 0, 5000, 3000);
-        rec.on_alert(20, AlertReason::GapBreach, 1, 1300, 1100);
-        let m = rec.into_metrics().unwrap();
+        let m = metrics_of(
+            1,
+            r#"
+            {"Alert":{"t":10,"reason":"DisplacementStorm","window":0,"value_milli":5000,"threshold_milli":3000}}
+            {"Alert":{"t":20,"reason":"GapBreach","window":1,"value_milli":1300,"threshold_milli":1100}}
+            "#,
+        );
         let text = encode(&m);
         validate_exposition(&text).unwrap();
         assert!(text.contains("bshm_alerts_total{algorithm=\"dec-online\"} 2"));

@@ -80,11 +80,16 @@ pub fn bucket_quantile(
 
 /// Adds `src` into `dst` element-wise, growing `dst` if `src` is wider.
 fn merge_counts(dst: &mut Vec<u64>, src: &[u64]) {
-    if src.len() > dst.len() {
-        dst.resize(src.len(), 0);
-    }
+    widen(dst, src.len());
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = d.saturating_add(s);
+    }
+}
+
+/// Pads `v` with zeros to at least `len` entries.
+fn widen<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::default());
     }
 }
 
@@ -172,7 +177,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fresh zeroed metrics for an algorithm over `n_types` catalog types.
+    /// Fresh zeroed metrics for an algorithm, with the per-type vectors
+    /// `n_types` wide to start; [`Metrics::update`] widens them as events
+    /// name further types.
     #[must_use]
     pub fn new(algorithm: impl Into<String>, n_types: usize) -> Self {
         Metrics {
@@ -265,10 +272,7 @@ impl Metrics {
         self.closes += later.closes;
         self.traced_cost = self.traced_cost.saturating_add(later.traced_cost);
         merge_counts(&mut self.cost_by_type, &later.cost_by_type);
-        if later.open_peak_by_type.len() > self.open_peak_by_type.len() {
-            self.open_peak_by_type
-                .resize(later.open_peak_by_type.len(), 0);
-        }
+        widen(&mut self.open_peak_by_type, later.open_peak_by_type.len());
         for (p, &o) in self
             .open_peak_by_type
             .iter_mut()
@@ -300,8 +304,16 @@ impl Metrics {
     }
 
     /// Folds one event into the aggregates. `busy_now` is the caller's
-    /// running per-type busy-machine gauge (updated in place).
-    pub fn update(&mut self, event: &TraceEvent, busy_now: &mut [u32]) {
+    /// running per-type busy-machine gauge (updated in place). An event
+    /// that names a type past the end of `busy_now`, `cost_by_type` or
+    /// `open_peak_by_type` first pads them with zeros, as
+    /// [`Metrics::merge`] does, so the `n_types` given to [`Metrics::new`]
+    /// is only a starting width.
+    pub fn update(&mut self, event: &TraceEvent, busy_now: &mut Vec<u32>) {
+        let width = crate::replay::event_type_bound(event);
+        widen(busy_now, width);
+        widen(&mut self.cost_by_type, width);
+        widen(&mut self.open_peak_by_type, width);
         match *event {
             TraceEvent::Arrival { .. } => self.arrivals += 1,
             TraceEvent::Departure { .. } => self.departures += 1,
@@ -341,29 +353,25 @@ impl Metrics {
             } => {
                 let cost = rate.saturating_mul(busy);
                 self.traced_cost = self.traced_cost.saturating_add(cost);
-                if let Some(c) = self.cost_by_type.get_mut(machine_type.0) {
-                    *c = c.saturating_add(cost);
-                }
+                let c = &mut self.cost_by_type[machine_type.0];
+                *c = c.saturating_add(cost);
             }
             TraceEvent::MachineOpen {
                 t, machine_type, ..
             } => {
                 self.opens += 1;
-                if let Some(b) = busy_now.get_mut(machine_type.0) {
-                    *b += 1;
-                }
-                if let Some(p) = self.open_peak_by_type.get_mut(machine_type.0) {
-                    *p = (*p).max(busy_now[machine_type.0]);
-                }
+                let b = &mut busy_now[machine_type.0];
+                *b += 1;
+                let p = &mut self.open_peak_by_type[machine_type.0];
+                *p = (*p).max(*b);
                 self.push_gauge(t, busy_now);
             }
             TraceEvent::MachineClose {
                 t, machine_type, ..
             } => {
                 self.closes += 1;
-                if let Some(b) = busy_now.get_mut(machine_type.0) {
-                    *b = b.saturating_sub(1);
-                }
+                let b = &mut busy_now[machine_type.0];
+                *b = b.saturating_sub(1);
                 self.push_gauge(t, busy_now);
             }
             // The crash's busy span was already closed by its CostAccrual +
@@ -658,26 +666,34 @@ impl Drop for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::parse_jsonl;
     use bshm_core::job::JobId;
-    use bshm_core::machine::TypeIndex;
-    use bshm_core::schedule::MachineId;
 
-    fn feed(rec: &mut impl Probe) {
-        rec.on_arrival(0, JobId(0), 2);
-        rec.on_machine_open(0, MachineId(0), TypeIndex(0));
-        rec.on_placement(0, JobId(0), MachineId(0), TypeIndex(0), true, 100, 2, 4);
-        rec.on_arrival(1, JobId(1), 2);
-        rec.on_placement(1, JobId(1), MachineId(0), TypeIndex(0), false, 7, 4, 4);
-        rec.on_departure(5, JobId(0), MachineId(0));
-        rec.on_departure(9, JobId(1), MachineId(0));
-        rec.on_cost_accrual(9, MachineId(0), TypeIndex(0), 9, 2);
-        rec.on_machine_close(9, MachineId(0), TypeIndex(0), 0);
+    /// Two size-2 jobs sharing one type-0 machine (capacity 4, rate 2)
+    /// over `[0, 9)`.
+    const TWO_JOBS: &str = r#"
+        {"Arrival":{"t":0,"job":0,"size":2}}
+        {"MachineOpen":{"t":0,"machine":0,"machine_type":0}}
+        {"Placement":{"t":0,"job":0,"machine":0,"machine_type":0,"opened":true,"decision_ns":100,"load":2,"capacity":4}}
+        {"Arrival":{"t":1,"job":1,"size":2}}
+        {"Placement":{"t":1,"job":1,"machine":0,"machine_type":0,"opened":false,"decision_ns":7,"load":4,"capacity":4}}
+        {"Departure":{"t":5,"job":0,"machine":0}}
+        {"Departure":{"t":9,"job":1,"machine":0}}
+        {"CostAccrual":{"t":9,"machine":0,"machine_type":0,"busy":9,"rate":2}}
+        {"MachineClose":{"t":9,"machine":0,"machine_type":0,"opened_at":0}}
+    "#;
+
+    /// Records every event of `jsonl`, one per line, into `probe`.
+    fn feed(probe: &mut impl Probe, jsonl: &str) {
+        for e in &parse_jsonl(jsonl).unwrap() {
+            probe.record(e);
+        }
     }
 
     #[test]
     fn metrics_aggregate() {
         let mut rec = Recorder::new("test", 1);
-        feed(&mut rec);
+        feed(&mut rec, TWO_JOBS);
         let m = rec.into_metrics().unwrap();
         assert_eq!(m.arrivals, 2);
         assert_eq!(m.departures, 2);
@@ -741,8 +757,8 @@ mod tests {
             .with_file(path.to_str().unwrap())
             .unwrap();
         let mut collected = crate::probe::Collector::default();
-        feed(&mut rec);
-        feed(&mut collected);
+        feed(&mut rec, TWO_JOBS);
+        feed(&mut collected, TWO_JOBS);
         assert_eq!(rec.events_written(), 9);
         assert!(rec.into_metrics().is_ok());
         assert_eq!(
@@ -754,9 +770,14 @@ mod tests {
     #[test]
     fn fault_events_aggregate() {
         let mut rec = Recorder::new("faulted", 1);
-        rec.on_machine_crash(4, MachineId(0), TypeIndex(0), 2);
-        rec.on_job_recovery(4, JobId(0), MachineId(0), MachineId(1), TypeIndex(0), 50);
-        rec.on_job_dropped(4, JobId(1), "no capacity");
+        feed(
+            &mut rec,
+            r#"
+            {"MachineCrash":{"t":4,"machine":0,"machine_type":0,"displaced":2}}
+            {"JobRecovery":{"t":4,"job":0,"from":0,"to":1,"machine_type":0,"recovery_ns":50}}
+            {"JobDropped":{"t":4,"job":1,"reason":"no capacity"}}
+            "#,
+        );
         let s = rec.metrics().summary();
         assert!(s.contains("1 crashes, 2 displaced, 1 recovered, 1 dropped"));
         let mut m = rec.into_metrics().unwrap();
@@ -778,7 +799,7 @@ mod tests {
         let mut rec = Recorder::new("test", 1)
             .with_file(path.to_str().unwrap())
             .unwrap();
-        feed(&mut rec);
+        feed(&mut rec, TWO_JOBS);
         // Mid-run, only the .partial file exists; the final path appears
         // atomically at finish.
         assert!(!path.exists());
@@ -897,7 +918,7 @@ mod tests {
     #[test]
     fn update_tracks_sums() {
         let mut rec = Recorder::new("test", 1);
-        feed(&mut rec);
+        feed(&mut rec, TWO_JOBS);
         let m = rec.into_metrics().unwrap();
         assert_eq!(m.decision_ns_sum, 107); // 100 + 7
         assert!((m.utilization_sum - 1.5).abs() < 1e-9); // 2/4 + 4/4
@@ -908,7 +929,7 @@ mod tests {
         // Cut one run after its placement at t=0: the first stretch opens
         // the machine, the second fills and closes it.
         let mut c = crate::probe::Collector::default();
-        feed(&mut c);
+        feed(&mut c, TWO_JOBS);
         let whole = crate::replay::metrics_from_events("test", &c.events, 1);
         let mut busy_now = vec![0];
         let mut first = Metrics::new("test", 1);
@@ -945,9 +966,14 @@ mod tests {
     #[test]
     fn alert_events_aggregate() {
         let mut rec = Recorder::new("health", 1);
-        rec.on_alert(10, AlertReason::GapBreach, 0, 1250, 1100);
-        rec.on_alert(20, AlertReason::GapBreach, 1, 1300, 1100);
-        rec.on_alert(20, AlertReason::DisplacementStorm, 1, 5000, 3000);
+        feed(
+            &mut rec,
+            r#"
+            {"Alert":{"t":10,"reason":"GapBreach","window":0,"value_milli":1250,"threshold_milli":1100}}
+            {"Alert":{"t":20,"reason":"GapBreach","window":1,"value_milli":1300,"threshold_milli":1100}}
+            {"Alert":{"t":20,"reason":"DisplacementStorm","window":1,"value_milli":5000,"threshold_milli":3000}}
+            "#,
+        );
         let s = rec.metrics().summary();
         assert!(s.contains("3 SLO breaches"));
         assert!(s.contains("2 gap-breach"));
@@ -968,7 +994,7 @@ mod tests {
     #[test]
     fn summary_mentions_counts() {
         let mut rec = Recorder::new("dec-online", 1);
-        feed(&mut rec);
+        feed(&mut rec, TWO_JOBS);
         let s = rec.metrics().summary();
         assert!(s.contains("dec-online"));
         assert!(s.contains("2 arrivals"));

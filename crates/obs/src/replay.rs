@@ -185,9 +185,10 @@ pub fn infer_n_types(events: &[TraceEvent]) -> usize {
 }
 
 /// The catalog width implied by one event: 1 + its machine-type index, or
-/// 0 for type-free events. `max`-folding this over an [`EventStream`] is
-/// the streaming counterpart of [`infer_n_types`] (used by `bshm health`
-/// and `bshm watch`, which never hold the whole trace in memory).
+/// 0 for type-free events. [`crate::Metrics::update`] widens its per-type
+/// vectors to it; `max`-folding it over an [`EventStream`] is the
+/// streaming counterpart of [`infer_n_types`] (`bshm watch` reports the
+/// width that way without holding the trace in memory).
 #[must_use]
 pub fn event_type_bound(e: &TraceEvent) -> usize {
     match *e {
@@ -332,14 +333,31 @@ pub fn synthesize_xray<P: Probe + ?Sized>(
         let ty = schedule.machines()[mi].machine_type;
         let mt = instance.catalog().get(ty);
         if is_arrival {
-            probe.on_arrival(t, job.id, job.size);
+            probe.record(&TraceEvent::Arrival {
+                t,
+                job: job.id,
+                size: job.size,
+            });
             if active[mi] == 0 {
                 opened_at[mi] = t;
-                probe.on_machine_open(t, m, ty);
+                probe.record(&TraceEvent::MachineOpen {
+                    t,
+                    machine: m,
+                    machine_type: ty,
+                });
             }
             active[mi] += 1;
             load[mi] += job.size;
-            probe.on_placement(t, job.id, m, ty, first, 0, load[mi], mt.capacity);
+            probe.record(&TraceEvent::Placement {
+                t,
+                job: job.id,
+                machine: m,
+                machine_type: ty,
+                opened: first,
+                decision_ns: 0,
+                load: load[mi],
+                capacity: mt.capacity,
+            });
             if log.enabled() {
                 let tr = log.take(job.id).unwrap_or_default();
                 let fallback = if first {
@@ -362,12 +380,27 @@ pub fn synthesize_xray<P: Probe + ?Sized>(
                 pool_size += 1;
             }
         } else {
-            probe.on_departure(t, job.id, m);
+            probe.record(&TraceEvent::Departure {
+                t,
+                job: job.id,
+                machine: m,
+            });
             active[mi] -= 1;
             load[mi] -= job.size;
             if active[mi] == 0 {
-                probe.on_cost_accrual(t, m, ty, t - opened_at[mi], mt.rate);
-                probe.on_machine_close(t, m, ty, opened_at[mi]);
+                probe.record(&TraceEvent::CostAccrual {
+                    t,
+                    machine: m,
+                    machine_type: ty,
+                    busy: t - opened_at[mi],
+                    rate: mt.rate,
+                });
+                probe.record(&TraceEvent::MachineClose {
+                    t,
+                    machine: m,
+                    machine_type: ty,
+                    opened_at: opened_at[mi],
+                });
             }
         }
     }

@@ -428,9 +428,10 @@ pub struct HealthProbe<P> {
 }
 
 impl<P: Probe> HealthProbe<P> {
-    /// A health plane evaluating `spec` over `n_types` catalog types,
-    /// wrapping `inner`. The rolling history and flight ring use default
-    /// bounded capacities.
+    /// A health plane evaluating `spec`, wrapping `inner`. `n_types` is
+    /// the starting width of the per-type gauges, which widen as events
+    /// name further types (see [`RollingWindows::new`]). The rolling
+    /// history and flight ring use default bounded capacities.
     #[must_use]
     pub fn new(spec: SloSpec, n_types: usize, inner: P) -> Self {
         let report = HealthReport {

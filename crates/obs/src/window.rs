@@ -83,7 +83,9 @@ pub struct RollingWindows {
 
 impl RollingWindows {
     /// A fold over windows of `width` event-clock units, retaining at most
-    /// `capacity` closed windows, over `n_types` catalog types.
+    /// `capacity` closed windows. `n_types` is the starting width of the
+    /// per-type gauges; [`Metrics::update`] widens them as events name
+    /// further types, so 0 is a valid start.
     ///
     /// # Panics
     /// If `width` is zero (via [`WindowClock::new`]) or `capacity` is zero.

@@ -162,7 +162,7 @@ pub fn run_online<S: OnlineScheduler>(
 ///
 /// With [`NoProbe`] every instrumentation branch is guarded by a
 /// monomorphized `enabled() == false` and compiles away, so [`run_online`]
-/// pays nothing for the hooks. A machine "opens" when it goes idle → busy
+/// builds no events. A machine "opens" when it goes idle → busy
 /// and "closes" on the reverse transition, accruing `rate × busy-span`
 /// cost at close; summed over a full run this equals
 /// [`bshm_core::schedule_cost`] of the resulting schedule.
@@ -247,7 +247,11 @@ fn drive<S: OnlineScheduler, P: Probe + ?Sized, X: Explain>(
                     .map_err(|cause| SimError { job: job.id, cause })?;
                 continue;
             }
-            probe.on_arrival(t, job.id, job.size);
+            probe.record(&TraceEvent::Arrival {
+                t,
+                job: job.id,
+                size: job.size,
+            });
             let known_machines = pool.len();
             let mut ops = X::begin();
             let start = clock::now();
@@ -266,19 +270,23 @@ fn drive<S: OnlineScheduler, P: Probe + ?Sized, X: Explain>(
                     open_since.resize(pool.len(), 0);
                 }
                 open_since[m.0 as usize] = t;
-                probe.on_machine_open(t, m, ty);
+                probe.record(&TraceEvent::MachineOpen {
+                    t,
+                    machine: m,
+                    machine_type: ty,
+                });
             }
             let opened = (m.0 as usize) >= known_machines;
-            probe.on_placement(
+            probe.record(&TraceEvent::Placement {
                 t,
-                job.id,
-                m,
-                ty,
+                job: job.id,
+                machine: m,
+                machine_type: ty,
                 opened,
                 decision_ns,
-                pool.load(m),
-                pool.capacity(m),
-            );
+                load: pool.load(m),
+                capacity: pool.capacity(m),
+            });
             if let Some(mut tr) = ops.into_trace() {
                 // Schedulers that haven't opted into on_arrival_explained
                 // leave the trace empty; classify their commit from the
@@ -305,12 +313,27 @@ fn drive<S: OnlineScheduler, P: Probe + ?Sized, X: Explain>(
         } else {
             let m = pool.remove(job.id, job.size);
             if probing {
-                probe.on_departure(t, job.id, m);
+                probe.record(&TraceEvent::Departure {
+                    t,
+                    job: job.id,
+                    machine: m,
+                });
                 if pool.is_idle(m) {
                     let ty = pool.machine_type(m);
                     let opened_at = open_since[m.0 as usize];
-                    probe.on_cost_accrual(t, m, ty, t - opened_at, pool.rate(m));
-                    probe.on_machine_close(t, m, ty, opened_at);
+                    probe.record(&TraceEvent::CostAccrual {
+                        t,
+                        machine: m,
+                        machine_type: ty,
+                        busy: t - opened_at,
+                        rate: pool.rate(m),
+                    });
+                    probe.record(&TraceEvent::MachineClose {
+                        t,
+                        machine: m,
+                        machine_type: ty,
+                        opened_at,
+                    });
                 }
             }
             scheduler.on_departure(job.id, m, &pool);

@@ -18,8 +18,8 @@
 //! * [`chart`]: demand charts, the 2-allocation placement and strip
 //!   partitioning behind the offline algorithms;
 //! * [`sim`]: the non-clairvoyant online event driver and machine pool;
-//! * [`obs`]: structured trace events, probe hooks, metrics aggregation
-//!   and trace replay (see `bshm solve --trace`);
+//! * [`obs`]: structured trace events, the probe they are recorded
+//!   into, metrics aggregation and trace replay (see `bshm solve --trace`);
 //! * [`algos`]: DEC-OFFLINE / DEC-ONLINE (§III), INC-OFFLINE / INC-ONLINE
 //!   (§IV), the general-case forest algorithms (§V), the single-type DBP
 //!   substrate, baselines and an exact solver;
