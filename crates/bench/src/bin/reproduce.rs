@@ -4,6 +4,7 @@
 //! reproduce all                        # every experiment
 //! reproduce t1 f3 a2                   # a subset
 //! reproduce all --update-experiments   # also rewrite EXPERIMENTS.md
+//! reproduce --check all                # diff against the committed files
 //! reproduce --list                     # what exists
 //! ```
 //!
@@ -11,21 +12,46 @@
 //! `bench_results/<id>.json` and `bench_results/<id>.md`. With
 //! `--update-experiments`, the measured tables are assembled into
 //! `EXPERIMENTS.md` (paper claim vs measured, per experiment).
+//!
+//! `--check` writes nothing: it rebuilds the same files in memory and
+//! compares them with the committed ones (and with `EXPERIMENTS.md` when
+//! every experiment runs), names each file that differs with its first
+//! differing line, and exits 1 if any does. `BSHM_RESULTS_DIR` and
+//! `BSHM_EXPERIMENTS_MD` move where both modes read and write.
 
 use bshm_bench::table::Table;
 use bshm_bench::{run_experiment, ALL_EXPERIMENTS};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Where the harness writes its files, and `--check` reads them.
+struct Paths {
+    /// The directory of `<id>.json` and `<id>.md`.
+    results: PathBuf,
+    /// The assembled `EXPERIMENTS.md`.
+    experiments_md: PathBuf,
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = run(args, &mut std::io::stdout(), &mut std::io::stderr());
+    let paths = Paths {
+        results: PathBuf::from(
+            // bshm-allow(taint-path): selects only WHERE reports are written; table contents are seed-deterministic
+            std::env::var("BSHM_RESULTS_DIR").unwrap_or_else(|_| "bench_results".to_string()),
+        ),
+        experiments_md: PathBuf::from(
+            // bshm-allow(taint-path): selects only WHERE the doc is written; generated text is seed-deterministic
+            std::env::var("BSHM_EXPERIMENTS_MD").unwrap_or_else(|_| "EXPERIMENTS.md".to_string()),
+        ),
+    };
+    let code = run(args, &paths, &mut std::io::stdout(), &mut std::io::stderr());
     std::process::exit(code);
 }
 
-/// Runs the reproduce harness, writing tables to `out` and progress /
-/// warnings to `err`. Returns the process exit code.
-fn run(mut args: Vec<String>, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
+/// Runs the reproduce harness, writing tables (or, with `--check`, the
+/// differences) to `out` and progress / warnings to `err`. Returns the
+/// process exit code.
+fn run(mut args: Vec<String>, paths: &Paths, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
     if args.iter().any(|a| a == "--list") {
         for id in ALL_EXPERIMENTS {
             let _ = writeln!(out, "{id}");
@@ -33,62 +59,116 @@ fn run(mut args: Vec<String>, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
         return 0;
     }
     let update_experiments = args.iter().any(|a| a == "--update-experiments");
-    args.retain(|a| a != "--update-experiments");
+    let check = args.iter().any(|a| a == "--check");
+    args.retain(|a| a != "--update-experiments" && a != "--check");
+    if check && update_experiments {
+        let _ = writeln!(err, "--check writes nothing; drop --update-experiments");
+        return 1;
+    }
     let ids: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
         ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect()
     } else {
         args
     };
-    let out_dir = PathBuf::from(
-        // bshm-allow(taint-path): selects only WHERE reports are written; table contents are seed-deterministic
-        std::env::var("BSHM_RESULTS_DIR").unwrap_or_else(|_| "bench_results".to_string()),
-    );
+    let every = ids
+        .iter()
+        .map(|id| id.to_lowercase())
+        .eq(ALL_EXPERIMENTS.iter().map(|id| id.to_string()));
     let mut failed = false;
     let mut tables: Vec<Table> = Vec::new();
     for id in ids {
-        let Some(table) = ({
-            let start = bshm_obs::clock::now();
-            let t = run_experiment(&id);
-            if let Some(t) = &t {
-                let _ = writeln!(
-                    err,
-                    "[{} finished in {:.1}s]",
-                    t.id,
-                    start.elapsed().as_secs_f64()
-                );
-            }
-            t
-        }) else {
+        let start = bshm_obs::clock::now();
+        let Some(table) = run_experiment(&id) else {
             let _ = writeln!(err, "unknown experiment id: {id} (try --list)");
             failed = true;
             continue;
         };
-        let _ = writeln!(out, "{}", table.render());
-        if let Err(e) = table.write_json(&out_dir) {
-            let _ = writeln!(err, "warning: could not write JSON for {}: {e}", table.id);
-        }
-        let md_path = out_dir.join(format!("{}.md", table.id.to_lowercase()));
-        if let Err(e) = std::fs::write(&md_path, table.render_markdown()) {
-            let _ = writeln!(err, "warning: could not write {}: {e}", md_path.display());
+        let _ = writeln!(
+            err,
+            "[{} finished in {:.1}s]",
+            table.id,
+            start.elapsed().as_secs_f64()
+        );
+        if !check {
+            let _ = writeln!(out, "{}", table.render());
+            if let Err(e) = std::fs::create_dir_all(&paths.results) {
+                let _ = writeln!(
+                    err,
+                    "warning: could not create {}: {e}",
+                    paths.results.display()
+                );
+            }
+            for (path, text) in table_files(&table, &paths.results) {
+                if let Err(e) = std::fs::write(&path, text) {
+                    let _ = writeln!(err, "warning: could not write {}: {e}", path.display());
+                }
+            }
         }
         tables.push(table);
     }
-    if update_experiments {
-        let path = PathBuf::from(
-            // bshm-allow(taint-path): selects only WHERE the doc is written; generated text is seed-deterministic
-            std::env::var("BSHM_EXPERIMENTS_MD").unwrap_or_else(|_| "EXPERIMENTS.md".to_string()),
-        );
-        match std::fs::write(&path, experiments_md(&tables)) {
+    if check {
+        let mut files: Vec<(PathBuf, String)> = tables
+            .iter()
+            .flat_map(|t| table_files(t, &paths.results))
+            .collect();
+        if every {
+            files.push((paths.experiments_md.clone(), experiments_md(&tables)));
+        }
+        let mut differing = 0;
+        for (path, rebuilt) in &files {
+            if let Some(difference) = first_difference(path, rebuilt) {
+                let _ = writeln!(out, "{difference}");
+                differing += 1;
+            }
+        }
+        let _ = writeln!(out, "check: {differing} of {} files differ", files.len());
+        failed |= differing > 0;
+    } else if update_experiments {
+        match std::fs::write(&paths.experiments_md, experiments_md(&tables)) {
             Ok(()) => {
-                let _ = writeln!(err, "wrote {}", path.display());
+                let _ = writeln!(err, "wrote {}", paths.experiments_md.display());
             }
             Err(e) => {
-                let _ = writeln!(err, "error writing {}: {e}", path.display());
+                let _ = writeln!(err, "error writing {}: {e}", paths.experiments_md.display());
                 failed = true;
             }
         }
     }
     i32::from(failed)
+}
+
+/// The two files a table is kept in under `dir`, with their contents.
+fn table_files(table: &Table, dir: &Path) -> [(PathBuf, String); 2] {
+    let id = table.id.to_lowercase();
+    [
+        (dir.join(format!("{id}.json")), table.to_json()),
+        (dir.join(format!("{id}.md")), table.render_markdown()),
+    ]
+}
+
+/// `None` when the file at `path` holds exactly `rebuilt`; otherwise a
+/// report naming the file and its first differing line.
+fn first_difference(path: &Path, rebuilt: &str) -> Option<String> {
+    let committed = match std::fs::read_to_string(path) {
+        Ok(text) if text == rebuilt => return None,
+        Ok(text) => text,
+        Err(e) => return Some(format!("{}: cannot read: {e}", path.display())),
+    };
+    let (mut old, mut new) = (committed.lines(), rebuilt.lines());
+    let mut line = 1;
+    loop {
+        match (old.next(), new.next()) {
+            (Some(a), Some(b)) if a == b => line += 1,
+            (a, b) => {
+                return Some(format!(
+                    "{}:{line}: differs\n  committed: {}\n  rebuilt:   {}",
+                    path.display(),
+                    a.unwrap_or("(end of file)"),
+                    b.unwrap_or("(end of file)")
+                ))
+            }
+        }
+    }
 }
 
 /// Assembles EXPERIMENTS.md: paper claim vs measured table, per experiment.
@@ -347,10 +427,68 @@ Cross-artifact drift auditors (same engine, non-Rust artifacts):
 mod tests {
     use super::*;
 
+    /// Paths under a fresh scratch directory named after `test`.
+    fn scratch_paths(test: &str) -> Paths {
+        let dir =
+            std::env::temp_dir().join(format!("bshm-reproduce-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Paths {
+            results: dir.join("results"),
+            experiments_md: dir.join("EXPERIMENTS.md"),
+        }
+    }
+
+    fn run_with(args: &[&str], paths: &Paths) -> (i32, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let args = args.iter().map(|a| a.to_string()).collect();
+        let code = run(args, paths, &mut out, &mut err);
+        (code, String::from_utf8(out).unwrap())
+    }
+
+    #[test]
+    fn check_names_each_differing_file_and_line() {
+        let paths = scratch_paths("check");
+        assert_eq!(run_with(&["a8"], &paths).0, 0);
+        let (code, out) = run_with(&["--check", "a8"], &paths);
+        assert_eq!((code, out.as_str()), (0, "check: 0 of 2 files differ\n"));
+
+        // A moved cell on line 3 of the markdown, and a missing JSON file.
+        let md = paths.results.join("a8.md");
+        let text = std::fs::read_to_string(&md).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let moved = format!("{} moved", lines[2]);
+        lines[2] = &moved;
+        std::fs::write(&md, lines.join("\n") + "\n").unwrap();
+        std::fs::remove_file(paths.results.join("a8.json")).unwrap();
+        let (code, out) = run_with(&["--check", "a8"], &paths);
+        assert_eq!(code, 1);
+        assert!(out.contains("a8.json: cannot read"), "{out}");
+        assert!(
+            out.contains(&format!("{}:3: differs", md.display())),
+            "{out}"
+        );
+        assert!(out.contains(&format!("  committed: {moved}\n")), "{out}");
+        assert!(out.ends_with("check: 2 of 2 files differ\n"), "{out}");
+        // Nothing was rewritten, and a subset never reads EXPERIMENTS.md.
+        assert!(!paths.results.join("a8.json").exists());
+        assert!(!paths.experiments_md.exists());
+
+        assert_eq!(
+            run_with(&["--check", "--update-experiments", "a8"], &paths).0,
+            1
+        );
+        let _ = std::fs::remove_dir_all(paths.results.parent().unwrap());
+    }
+
     #[test]
     fn list_goes_to_out_not_err() {
         let (mut out, mut err) = (Vec::new(), Vec::new());
-        let code = run(vec!["--list".into()], &mut out, &mut err);
+        let code = run(
+            vec!["--list".into()],
+            &scratch_paths("list"),
+            &mut out,
+            &mut err,
+        );
         assert_eq!(code, 0);
         assert!(err.is_empty());
         let listed = String::from_utf8(out).unwrap();
@@ -362,7 +500,12 @@ mod tests {
     #[test]
     fn unknown_id_reports_on_err_and_fails() {
         let (mut out, mut err) = (Vec::new(), Vec::new());
-        let code = run(vec!["nope".into()], &mut out, &mut err);
+        let code = run(
+            vec!["nope".into()],
+            &scratch_paths("nope"),
+            &mut out,
+            &mut err,
+        );
         assert_eq!(code, 1);
         assert!(String::from_utf8(err)
             .unwrap()

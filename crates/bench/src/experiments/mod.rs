@@ -3,7 +3,7 @@
 //! Every experiment regenerates one table or figure-series of the
 //! evaluation: it builds a reproducible workload grid, runs the relevant
 //! schedulers, validates every schedule, compares costs against the §II
-//! lower bound, and returns a [`Table`].
+//! lower bound, and returns a [`Table`](crate::table::Table).
 
 pub mod a1_placement_order;
 pub mod a2_group_b;

@@ -2,7 +2,6 @@
 
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// One experiment's output: a titled table with a claim being validated.
 #[derive(Clone, Debug, Serialize)]
@@ -109,14 +108,10 @@ impl Table {
         out
     }
 
-    /// Writes the table as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id.to_lowercase()));
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(self).expect("serializable"),
-        )
+    /// The table as pretty JSON, the contents of `<id>.json`.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("serializable")
     }
 }
 

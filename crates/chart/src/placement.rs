@@ -14,6 +14,27 @@
 //! demand curve (which Gergov's construction additionally guarantees) is
 //! not enforced and is *measured* instead (see [`overshoot`]).
 //!
+//! ### Two searches
+//!
+//! In arrival order every rectangle live at a job's arrival is active at
+//! that instant, and none arrives later inside the job's window, so the
+//! live set reduces to one altitude profile. The sweep keeps it as a
+//! skyline that changes in place: a sorted vector of altitude edges (net
+//! coverage change per altitude) and a min-heap of departures that retires
+//! each rectangle once its departure is at or before the next arrival. A
+//! job's altitude is the first gap of height `2·s(J)` below the next region
+//! covered twice or more, found by walking the edges from the bottom. The
+//! ablation orders (A1) place jobs whose neighbours may arrive inside their
+//! window, so they keep the per-segment search
+//! ([`lowest_feasible_altitude`]), which also serves as the skyline's test
+//! oracle. Both searches merge touching blocked regions, so they give the
+//! same altitude for the same live set.
+//!
+//! Op accounting follows the work each search does: the skyline charges one
+//! comparison per edge its walk reads plus one per rectangle it retires;
+//! the per-segment search charges one per candidate plus one per (time
+//! segment, live rectangle) pair it sweeps.
+//!
 //! ### Units
 //!
 //! The whole crate works in **doubled demand units** so that strip
@@ -24,6 +45,8 @@
 use bshm_core::job::Job;
 use bshm_core::ops::{DecisionLog, OpProbe};
 use bshm_core::time::{Interval, IntervalSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A job with its assigned altitude (in doubled units).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,9 +119,12 @@ impl Placement {
 /// Greedily places `jobs` as a 2-allocation.
 ///
 /// In [`PlacementOrder::Arrival`] the jobs are swept in arrival order over
-/// an active set: a rectangle leaves it once its departure is at or before
-/// the current arrival, so each job inspects only the rectangles live at
-/// its arrival. The two ablation orders search the whole placement so far.
+/// an altitude skyline of the live rectangles: a rectangle retires once its
+/// departure is at or before the current arrival, and each job's altitude
+/// is read off the skyline's altitude edges. The two ablation orders run
+/// the per-segment search ([`lowest_feasible_altitude`]) over the whole
+/// placement so far, since their candidates may arrive inside the job's
+/// window.
 ///
 /// ```
 /// use bshm_chart::placement::{place_jobs, verify_two_allocation, PlacementOrder};
@@ -116,52 +142,139 @@ pub fn place_jobs(jobs: &[Job], order: PlacementOrder) -> Placement {
 
 /// [`place_jobs`] with per-job op accounting: each job's altitude search is
 /// charged to its [`bshm_core::ops::OpTrace`] in `log` as capacity
-/// comparisons, one per candidate rectangle it filters (the live ones in
-/// arrival order, every placed one otherwise) plus one per (processed time
-/// segment, live rectangle) pair in the blocked-altitude sweep. No machines
-/// exist at placement time, so nothing is scanned or committed here — the
-/// strip phase ([`crate::strips::schedule_strips_logged`]) finishes each
-/// decision.
+/// comparisons. In arrival order that is one per skyline edge the altitude
+/// walk reads plus one per rectangle retired at the job's arrival. In the
+/// ablation orders it is one per placed rectangle (the overlap filter) plus
+/// one per (processed time segment, live rectangle) pair in the
+/// blocked-altitude sweep. No machines exist at placement time, so nothing
+/// is scanned or committed here — the strip phase
+/// ([`crate::strips::schedule_strips_logged`]) finishes each decision.
 #[must_use]
 pub fn place_jobs_logged(jobs: &[Job], order: PlacementOrder, log: &mut DecisionLog) -> Placement {
     let mut ordered: Vec<Job> = jobs.to_vec();
     match order {
         PlacementOrder::Arrival => ordered.sort_unstable_by_key(|j| (j.arrival, j.id)),
         PlacementOrder::SizeDescending => {
-            ordered.sort_unstable_by_key(|j| (std::cmp::Reverse(j.size), j.arrival, j.id));
+            ordered.sort_unstable_by_key(|j| (Reverse(j.size), j.arrival, j.id));
         }
         PlacementOrder::DurationDescending => {
-            ordered.sort_unstable_by_key(|j| (std::cmp::Reverse(j.duration()), j.arrival, j.id));
+            ordered.sort_unstable_by_key(|j| (Reverse(j.duration()), j.arrival, j.id));
         }
     }
-    let sweep = order == PlacementOrder::Arrival;
     let mut placement = Placement {
         placed: Vec::with_capacity(ordered.len()),
     };
-    let mut active: Vec<PlacedJob> = Vec::new();
-    for job in ordered {
-        let candidates = if sweep {
-            active.retain(|p| p.job.departure > job.arrival);
-            &active
-        } else {
-            &placement.placed
-        };
-        let (lo2, work) = lowest_feasible_altitude_counted(candidates, &job);
-        log.begin(job.id);
-        log.compared(work);
-        let placed = PlacedJob { job, lo2 };
-        if sweep {
-            active.push(placed);
+    if order == PlacementOrder::Arrival {
+        let mut skyline = Skyline::default();
+        for job in ordered {
+            let retired = skyline.retire_until(job.arrival);
+            let (lo2, read) = skyline.lowest_altitude(2 * job.size);
+            log.begin(job.id);
+            log.compared(retired + read);
+            let placed = PlacedJob { job, lo2 };
+            skyline.add(&placed);
+            placement.placed.push(placed);
         }
-        placement.placed.push(placed);
+    } else {
+        for job in ordered {
+            let (lo2, work) = lowest_feasible_altitude_counted(&placement.placed, &job);
+            log.begin(job.id);
+            log.compared(work);
+            placement.placed.push(PlacedJob { job, lo2 });
+        }
     }
     placement
 }
 
+/// The rectangles live at the current arrival of an arrival-order sweep,
+/// kept as an altitude skyline that changes in place.
+///
+/// Every live rectangle is active at the current arrival (it arrived no
+/// later and departs after it), so one altitude profile describes the
+/// whole of the next job's window: in arrival order no rectangle arrives
+/// inside it, and departures inside it only lower the coverage. Both
+/// vectors grow to the peak concurrency and are reused, so a job costs no
+/// heap allocation once they have.
+#[derive(Debug, Default)]
+struct Skyline {
+    /// `(altitude, net coverage change)` at every altitude (doubled units)
+    /// where the coverage of the live rectangles changes, sorted by
+    /// altitude, with no zero change.
+    edges: Vec<(u64, i64)>,
+    /// Live rectangles as `(departure, lo2, hi2)`, earliest departure first.
+    live: BinaryHeap<Reverse<(u64, u64, u64)>>,
+}
+
+impl Skyline {
+    /// Adds `delta` to the coverage change at `altitude`.
+    fn shift(&mut self, altitude: u64, delta: i64) {
+        match self.edges.binary_search_by_key(&altitude, |&(a, _)| a) {
+            Ok(i) => {
+                self.edges[i].1 += delta;
+                if self.edges[i].1 == 0 {
+                    self.edges.remove(i);
+                }
+            }
+            Err(i) => self.edges.insert(i, (altitude, delta)),
+        }
+    }
+
+    /// Adds a placed rectangle to the live set.
+    fn add(&mut self, placed: &PlacedJob) {
+        self.shift(placed.lo2, 1);
+        self.shift(placed.hi2(), -1);
+        self.live
+            .push(Reverse((placed.job.departure, placed.lo2, placed.hi2())));
+    }
+
+    /// Retires every rectangle whose departure is at or before `t`;
+    /// returns how many it retired.
+    fn retire_until(&mut self, t: u64) -> u64 {
+        let mut retired = 0;
+        while let Some(&Reverse((departure, lo2, hi2))) = self.live.peek() {
+            if departure > t {
+                break;
+            }
+            self.live.pop();
+            self.shift(lo2, -1);
+            self.shift(hi2, 1);
+            retired += 1;
+        }
+        retired
+    }
+
+    /// The lowest altitude `a` at which `[a, a + height)` misses every
+    /// region covered twice or more, and the number of edges read to find
+    /// it. Regions that touch read as one: their shared altitude holds one
+    /// net change, which leaves the coverage at two or more.
+    fn lowest_altitude(&self, height: u64) -> (u64, u64) {
+        let mut a = 0u64;
+        let mut cover = 0i64;
+        let mut read = 0u64;
+        for &(altitude, delta) in &self.edges {
+            read += 1;
+            let before = cover;
+            cover += delta;
+            if before < 2 && cover >= 2 {
+                if a + height <= altitude {
+                    break;
+                }
+            } else if before >= 2 && cover < 2 {
+                a = altitude;
+            }
+        }
+        (a, read)
+    }
+}
+
 /// The lowest altitude (doubled units) at which `job`'s rectangle overlaps
 /// at most one rectangle of `candidates` at every time in its interval.
-#[cfg(test)]
-fn lowest_feasible_altitude(candidates: &[PlacedJob], job: &Job) -> u64 {
+///
+/// This is the per-segment search the ablation orders run; it serves any
+/// candidate set, and is the reference the arrival-order skyline is tested
+/// against.
+#[must_use]
+pub fn lowest_feasible_altitude(candidates: &[PlacedJob], job: &Job) -> u64 {
     lowest_feasible_altitude_counted(candidates, job).0
 }
 
@@ -172,8 +285,7 @@ fn lowest_feasible_altitude(candidates: &[PlacedJob], job: &Job) -> u64 {
 /// Only segments that start at the window start or at an arrival are
 /// processed. Between arrivals rectangles can only depart, so a segment
 /// starting at a departure alone blocks a subset of what the segment
-/// before it blocks. In arrival order no candidate arrives inside the
-/// window, which leaves one segment per job.
+/// before it blocks.
 fn lowest_feasible_altitude_counted(candidates: &[PlacedJob], job: &Job) -> (u64, u64) {
     let window = job.interval();
     let mut work = bshm_core::convert::count_u64(candidates.len());

@@ -1,6 +1,8 @@
 //! Property tests for the 2-allocation placement and strip partitioning.
 
-use bshm_chart::placement::{place_jobs, verify_two_allocation, PlacedJob, PlacementOrder};
+use bshm_chart::placement::{
+    lowest_feasible_altitude, place_jobs, verify_two_allocation, PlacedJob, PlacementOrder,
+};
 use bshm_chart::strips::schedule_strips;
 use bshm_core::job::Job;
 use bshm_core::machine::TypeIndex;
@@ -45,6 +47,24 @@ fn arb_tied_jobs() -> impl Strategy<Value = Vec<Job>> {
     })
 }
 
+/// Capacity of the machines whose strips the sizes below fill exactly.
+const CAPACITY: u64 = 2 * STRIP;
+
+/// Many jobs on few timestamps: equal arrivals and equal departures, and
+/// sizes that are often a whole strip or a whole machine, so rectangles
+/// stack edge to edge and touch at one altitude.
+fn arb_crowded_jobs() -> impl Strategy<Value = Vec<Job>> {
+    prop::collection::vec((0u8..3, 1..=CAPACITY, 0u64..8, 1u64..=4), 1..80).prop_map(|raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (kind, size, arr, dur))| {
+                let size = [STRIP, CAPACITY, size][usize::from(kind)];
+                Job::new(i as u32, size, arr, arr + dur)
+            })
+            .collect()
+    })
+}
+
 /// The greedy rule's spec, point by point: for every altitude (doubled
 /// units), whether two rectangles of `placed` cover it at some time of
 /// `job`'s interval. Times and altitudes are integers, so sampling each
@@ -82,6 +102,24 @@ proptest! {
                 for a in 0..lo2 {
                     prop_assert!(triple_at(a), "{order:?}: {:?} fits lower, at {a}", q.job);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn skyline_matches_the_per_segment_search(
+        crowded in arb_crowded_jobs(),
+        tied in arb_tied_jobs(),
+    ) {
+        for jobs in [crowded, tied] {
+            let p = place_jobs(&jobs, PlacementOrder::Arrival);
+            for (i, q) in p.placed().iter().enumerate() {
+                let live: Vec<PlacedJob> = p.placed()[..i]
+                    .iter()
+                    .filter(|r| r.job.departure > q.job.arrival)
+                    .copied()
+                    .collect();
+                prop_assert_eq!(q.lo2, lowest_feasible_altitude(&live, &q.job), "{:?}", q.job);
             }
         }
     }
