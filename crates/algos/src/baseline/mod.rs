@@ -25,7 +25,11 @@ impl OneMachinePerJob {
     ) -> MachineId {
         // One capacity comparison: the size-class fit test.
         ops.compared(1);
-        let class = pool.catalog().size_class(view.size).expect("job fits"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
+        let class = pool.catalog().size_class(view.size).expect("job fits");
         let m = pool.create(class, format!("dedicated/{}", view.id));
         ops.committed(m, PlaceReason::Opened);
         m
@@ -76,7 +80,11 @@ impl FirstFitAny {
             ops.rejected(m, RejectReason::Capacity);
         }
         ops.compared(1);
-        let class = pool.catalog().size_class(view.size).expect("job fits"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
+        let class = pool.catalog().size_class(view.size).expect("job fits");
         let m = pool.create(class, format!("ff-any#{}", self.open.len()));
         self.open.push(m);
         ops.committed(m, PlaceReason::Opened);
@@ -141,7 +149,11 @@ impl BestFit {
             return m;
         }
         ops.compared(1);
-        let class = pool.catalog().size_class(view.size).expect("job fits"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
+        let class = pool.catalog().size_class(view.size).expect("job fits");
         let m = pool.create(class, format!("best-fit#{}", self.open.len()));
         self.open.push(m);
         ops.committed(m, PlaceReason::Opened);
@@ -195,7 +207,11 @@ impl NextFit {
             ops.rejected(m, RejectReason::Capacity);
         }
         ops.compared(1);
-        let class = pool.catalog().size_class(view.size).expect("job fits"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
+        let class = pool.catalog().size_class(view.size).expect("job fits");
         let m = pool.create(class, format!("next-fit#{}", self.opened));
         self.opened += 1;
         self.current = Some(m);
@@ -284,7 +300,11 @@ impl RandomFit {
             return m;
         }
         ops.compared(1);
-        let class = pool.catalog().size_class(view.size).expect("job fits"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
+        let class = pool.catalog().size_class(view.size).expect("job fits");
         let m = pool.create(class, format!("random-fit#{}", self.open.len()));
         self.open.push(m);
         ops.committed(m, PlaceReason::Opened);

@@ -72,8 +72,12 @@ impl DurationClassFirstFit {
         self.machines_opened
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "instances are validated on construction — every job fits the top type"
+    )]
     fn size_class(catalog: &Catalog, size: u64) -> usize {
-        catalog.size_class(size).expect("job fits largest type").0 // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        catalog.size_class(size).expect("job fits largest type").0
     }
 
     fn decide<P: OpProbe + ?Sized>(

@@ -157,10 +157,14 @@ impl FirstFit {
         pool: &mut MachinePool,
         ops: &mut P,
     ) -> MachineId {
+        #[expect(
+            clippy::expect_used,
+            reason = "a roster with no cap opens a fresh machine rather than fail"
+        )]
         let (m, how) = self
             .roster
             .try_place_ops(view.size, pool, ops)
-            .expect("uncapped roster always places"); // bshm-allow(no-panic): a roster with no cap opens a fresh machine rather than fail
+            .expect("uncapped roster always places");
         ops.committed(m, how);
         m
     }

@@ -153,11 +153,15 @@ impl DecOnline {
         pool: &mut MachinePool,
         ops: &mut P,
     ) -> MachineId {
+        #[expect(
+            clippy::expect_used,
+            reason = "normalization keeps the top type, so every job has a class"
+        )]
         let i = self
             .norm
             .catalog()
             .size_class(view.size)
-            .expect("job fits the largest kept type") // bshm-allow(no-panic): normalization keeps the top type, so every job has a class
+            .expect("job fits the largest kept type")
             .0;
         ops.compared(1);
         let big = 2 * view.size > self.g(i);
@@ -176,9 +180,13 @@ impl DecOnline {
             }
             // Non-doubling catalog: dedicated overflow machine.
             self.overflow_placements += 1;
+            #[expect(
+                clippy::expect_used,
+                reason = "overflow rosters are uncapped and always open a machine"
+            )]
             let (m, how) = self.overflow[i]
                 .try_place_idle_ops(pool, ops)
-                .expect("unlimited overflow roster"); // bshm-allow(no-panic): overflow rosters are uncapped and always open a machine
+                .expect("unlimited overflow roster");
             let how = if how.opened() {
                 PlaceReason::OpenedOverflow
             } else {
@@ -189,9 +197,13 @@ impl DecOnline {
         }
         // s(J) ∈ (g_{i-1}, g_i/2]: Group-A First-Fit from type i upward;
         // the unlimited top type guarantees success.
+        #[expect(
+            clippy::expect_used,
+            reason = "the top type roster is uncapped (paper Lemma 2)"
+        )]
         let (m, how) = self
             .place_group_a(i, view.size, pool, ops)
-            .expect("top-type Group A is unlimited and admits the job"); // bshm-allow(no-panic): the top type roster is uncapped (paper Lemma 2)
+            .expect("top-type Group A is unlimited and admits the job");
         ops.committed(m, how);
         m
     }

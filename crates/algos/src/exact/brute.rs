@@ -180,12 +180,16 @@ pub fn exact_optimal(instance: &Instance, budget: Option<u64>) -> Option<ExactRe
         .collect();
     // Incumbent: one machine per job.
     let init_cost = bshm_core::cost::one_machine_per_job_cost(instance);
+    #[expect(
+        clippy::expect_used,
+        reason = "instances are validated on construction — every job fits the top type"
+    )]
     let init_assignment: Vec<(usize, Vec<usize>)> = jobs
         .iter()
         .enumerate()
         .map(|(i, j)| {
             (
-                instance.catalog().size_class(j.size).expect("validated").0, // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+                instance.catalog().size_class(j.size).expect("validated").0,
                 vec![i],
             )
         })

@@ -116,13 +116,22 @@ impl TypeForest {
     /// `⌈(1/√|C(k)|) · r̂_k/r̂_j⌉`, computed exactly (smallest `B` with
     /// `B²·|C(k)| ≥ (r̂_k/r̂_j)²`). `None` for roots.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "B is at most the u64 rate ratio r̂_k/r̂_j"
+    )]
     pub fn bottom_strips(&self, j: usize, norm: &NormalizedCatalog) -> Option<u64> {
         let k = self.parent[j]?;
         let c = u128::from(bshm_core::convert::count_u64(self.children[k].len()));
         let ratio = u128::from(norm.rate_pow2(TypeIndex(k)) / norm.rate_pow2(TypeIndex(j)));
         let target = ratio * ratio;
         // Smallest B ≥ 1 with B²·c ≥ ratio².
-        let mut b = ((target as f64 / c as f64).sqrt().ceil()) as u128; // bshm-allow(lossy-cast): float estimate only seeds the exact loops below, which correct any rounding
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "float estimate only seeds the exact loops below, which correct any rounding"
+        )]
+        let mut b = ((target as f64 / c as f64).sqrt().ceil()) as u128;
         b = b.max(1);
         while b * b * c < target {
             b += 1;
@@ -130,7 +139,7 @@ impl TypeForest {
         while b > 1 && (b - 1) * (b - 1) * c >= target {
             b -= 1;
         }
-        Some(u64::try_from(b).expect("strip count fits u64")) // bshm-allow(no-panic): B is at most the u64 rate ratio r̂_k/r̂_j
+        Some(u64::try_from(b).expect("strip count fits u64"))
     }
 }
 

@@ -43,10 +43,14 @@ pub fn general_offline_logged(
     // Pending jobs per node; jobs start at their size class.
     let mut pending: Vec<Vec<Job>> = vec![Vec::new(); m];
     for job in instance.jobs() {
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
         let class = norm
             .catalog()
             .size_class(job.size)
-            .expect("instance validated; top type survives normalization"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+            .expect("instance validated; top type survives normalization");
         pending[class.0].push(*job);
     }
 

@@ -76,11 +76,15 @@ impl GeneralOnline {
         pool: &mut MachinePool,
         ops: &mut P,
     ) -> MachineId {
+        #[expect(
+            clippy::expect_used,
+            reason = "normalization keeps the top type, so every job has a class"
+        )]
         let class = self
             .norm
             .catalog()
             .size_class(view.size)
-            .expect("job fits the largest kept type") // bshm-allow(no-panic): normalization keeps the top type, so every job has a class
+            .expect("job fits the largest kept type")
             .0;
         let path = self.forest.ancestor_path(class);
         ops.compared(1);
@@ -102,9 +106,13 @@ impl GeneralOnline {
                 }
             }
             self.overflow_placements += 1;
+            #[expect(
+                clippy::expect_used,
+                reason = "overflow rosters are uncapped and always open a machine"
+            )]
             let (m, how) = self.overflow[class]
                 .try_place_idle_ops(pool, ops)
-                .expect("unlimited overflow roster"); // bshm-allow(no-panic): overflow rosters are uncapped and always open a machine
+                .expect("unlimited overflow roster");
             let how = if how.opened() {
                 PlaceReason::OpenedOverflow
             } else {
@@ -127,9 +135,13 @@ impl GeneralOnline {
         // Root roster is unlimited; reaching here means the root's
         // half-capacity rule rejected the job (non-doubling catalog).
         self.overflow_placements += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "overflow rosters are uncapped and always open a machine"
+        )]
         let (m, how) = self.overflow[class]
             .try_place_idle_ops(pool, ops)
-            .expect("unlimited overflow roster"); // bshm-allow(no-panic): overflow rosters are uncapped and always open a machine
+            .expect("unlimited overflow roster");
         let how = if how.opened() {
             PlaceReason::OpenedOverflow
         } else {

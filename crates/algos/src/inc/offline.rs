@@ -34,7 +34,11 @@ pub fn inc_offline_logged(
     for job in instance.jobs() {
         log.begin(job.id);
         log.compared(1);
-        let class = catalog.size_class(job.size).expect("instance validated"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
+        let class = catalog.size_class(job.size).expect("instance validated");
         classes[class.0].push(*job);
     }
     let mut schedule = Schedule::new();
@@ -71,7 +75,11 @@ pub fn partitioned_ffd_logged(instance: &Instance, log: &mut DecisionLog) -> Sch
     for job in instance.jobs() {
         log.begin(job.id);
         log.compared(1);
-        let class = catalog.size_class(job.size).expect("instance validated"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
+        let class = catalog.size_class(job.size).expect("instance validated");
         classes[class.0].push(*job);
     }
     let mut schedule = Schedule::new();

@@ -36,13 +36,21 @@ impl IncOnline {
         ops: &mut P,
     ) -> MachineId {
         ops.compared(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "instances are validated on construction — every job fits the top type"
+        )]
         let class = pool
             .catalog()
             .size_class(view.size)
-            .expect("job fits the largest type"); // bshm-allow(no-panic): instances are validated on construction — every job fits the top type
+            .expect("job fits the largest type");
+        #[expect(
+            clippy::expect_used,
+            reason = "a roster with no cap opens a fresh machine rather than fail"
+        )]
         let (m, how) = self.rosters[class.0]
             .try_place_ops(view.size, pool, ops)
-            .expect("uncapped roster always places"); // bshm-allow(no-panic): a roster with no cap opens a fresh machine rather than fail
+            .expect("uncapped roster always places");
         ops.committed(m, how);
         m
     }

@@ -19,8 +19,34 @@
 //! [`bshm_sim::run_online`]. [`auto_offline`] and [`auto_online`] pick the
 //! paper's algorithm for a catalog's class (DEC / INC / general).
 
+// Shipping code stays panic-free, cast-clean, print-free and
+// deterministic; test code is exempt. See DESIGN.md § Static analysis and
+// the method/macro lists in clippy.toml.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_lossless,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::float_cmp,
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        static_mut_refs,
+        unsafe_code
+    )
+)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod baseline;
 pub mod clairvoyant;
@@ -75,8 +101,11 @@ pub fn auto_offline_logged(
 /// machine; a failure indicates a bug).
 #[must_use]
 pub fn auto_online(instance: &Instance) -> Schedule {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented in the # Panics section above"
+    )]
     let run = |mut s: &mut dyn bshm_sim::OnlineScheduler| {
-        // bshm-allow(no-panic): documented in the # Panics section above
         bshm_sim::run_online(instance, &mut s).expect("paper policies never overload")
     };
     match instance.classify() {

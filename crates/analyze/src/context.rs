@@ -3,9 +3,9 @@
 
 use crate::lexer::{Tok, TokKind};
 
-/// The five crates whose non-test code must be panic-free and cast-clean:
-/// they implement the paper's exact cost accounting (and its fault-time
-/// ledgers) and are linked into every consumer.
+/// The five library crates: they implement the paper's exact cost
+/// accounting (and its fault-time ledgers) and are linked into every
+/// consumer, so their non-test code is held to the strictest rules.
 pub const LIBRARY_CRATES: [&str; 5] = ["core", "algos", "sim", "obs", "faults"];
 
 /// Where a file sits in the workspace, derived from its relative path.

@@ -1,6 +1,6 @@
 //! Diagnostics, severities, and the `bshm-allow` pragma machinery.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::Tok;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,7 +26,7 @@ impl fmt::Display for Severity {
 /// One finding: rule, where, what.
 #[derive(Clone, Debug, Serialize)]
 pub struct Diagnostic {
-    /// Rule slug (`no-panic`, `lossy-cast`, `drift/trace-schema`, …).
+    /// Rule slug (`no-raw-metric`, `drift/trace-schema`, …).
     pub rule: String,
     /// Severity of this finding.
     pub severity: Severity,
@@ -84,9 +84,9 @@ impl Diagnostic {
 /// both trailing and preceding placements work:
 ///
 /// ```text
-/// x.unwrap(); // bshm-allow(no-panic): length checked above
-/// // bshm-allow(no-panic): length checked above
-/// x.unwrap();
+/// m.ops += 1; // bshm-allow(no-raw-metric): the one sanctioned fold
+/// // bshm-allow(no-raw-metric): the one sanctioned fold
+/// m.ops += 1;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Pragma {
@@ -181,36 +181,17 @@ pub fn known_rule(name: &str) -> bool {
 /// must not read as a merely-stale suppression).
 #[must_use]
 pub fn apply_pragmas(findings: Vec<Diagnostic>, pragmas: &[Pragma], file: &str) -> Vec<Diagnostic> {
-    let (out, _) = apply_pragmas_tracked(findings, pragmas, file);
-    out
-}
-
-/// Like [`apply_pragmas`], but also returns the findings each pragma
-/// suppressed, paired with the pragma's reason — the taint report lists
-/// these so every silenced source→sink path stays visible in the artifact.
-#[must_use]
-pub fn apply_pragmas_tracked(
-    findings: Vec<Diagnostic>,
-    pragmas: &[Pragma],
-    file: &str,
-) -> (Vec<Diagnostic>, Vec<(Diagnostic, String)>) {
     let mut used = vec![false; pragmas.len()];
-    let mut suppressed = Vec::new();
     let mut out: Vec<Diagnostic> = findings
         .into_iter()
         .filter(|d| {
             let hit = pragmas
                 .iter()
-                .enumerate()
-                .find(|(_, p)| (p.rule == d.rule || p.rule == "all") && p.covers.contains(&d.line));
-            match hit {
-                Some((i, p)) => {
-                    used[i] = true;
-                    suppressed.push((d.clone(), p.reason.clone()));
-                    false
-                }
-                None => true,
+                .position(|p| (p.rule == d.rule || p.rule == "all") && p.covers.contains(&d.line));
+            if let Some(i) = hit {
+                used[i] = true;
             }
+            hit.is_none()
         })
         .collect();
     for (p, used) in pragmas.iter().zip(used) {
@@ -236,7 +217,7 @@ pub fn apply_pragmas_tracked(
             ));
         }
     }
-    (out, suppressed)
+    out
 }
 
 /// The full analysis result, serializable as the CI artifact.
@@ -304,20 +285,6 @@ impl Report {
     }
 }
 
-/// Strips tokens whose line is covered by neither code nor rules — helper
-/// for rules that want comment-free streams.
-#[must_use]
-pub fn code_only(toks: &[Tok]) -> Vec<Tok> {
-    toks.iter().filter(|t| !t.is_comment()).cloned().collect()
-}
-
-/// Whether `kind` is a literal the float-comparison rule treats as float
-/// evidence.
-#[must_use]
-pub fn is_float_literal(kind: &TokKind) -> bool {
-    *kind == TokKind::Float
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,17 +292,19 @@ mod tests {
 
     #[test]
     fn trailing_pragma_covers_own_line() {
-        let toks = tokenize("x.unwrap(); // bshm-allow(no-panic): checked above\n");
+        let toks = tokenize("m.ops += 1; // bshm-allow(no-raw-metric): the one sanctioned fold\n");
         let (pragmas, diags) = collect_pragmas(&toks, "f.rs");
         assert!(diags.is_empty());
         assert_eq!(pragmas.len(), 1);
-        assert_eq!(pragmas[0].rule, "no-panic");
+        assert_eq!(pragmas[0].rule, "no-raw-metric");
         assert_eq!(pragmas[0].covers, vec![1]);
     }
 
     #[test]
     fn standalone_pragma_covers_next_line() {
-        let toks = tokenize("// bshm-allow(lossy-cast): width asserted\nlet x = y as u32;\n");
+        let toks = tokenize(
+            "// bshm-allow(no-unbounded-buffer): bounded by the caller\nlet q = VecDeque::new();\n",
+        );
         let (pragmas, _) = collect_pragmas(&toks, "f.rs");
         assert_eq!(pragmas[0].covers, vec![1, 2]);
     }
@@ -343,9 +312,9 @@ mod tests {
     #[test]
     fn malformed_pragma_is_reported() {
         for bad in [
-            "// bshm-allow(no-panic)\n",     // no reason
-            "// bshm-allow(no-panic):\n",    // empty reason
-            "// bshm-allow no-panic: why\n", // no parens
+            "// bshm-allow(no-raw-metric)\n",     // no reason
+            "// bshm-allow(no-raw-metric):\n",    // empty reason
+            "// bshm-allow no-raw-metric: why\n", // no parens
         ] {
             let toks = tokenize(bad);
             let (pragmas, diags) = collect_pragmas(&toks, "f.rs");
@@ -361,7 +330,7 @@ mod tests {
         // docs do) must neither suppress anything nor count as malformed.
         for doc in [
             "/// Write `// bshm-allow` to suppress\nfn f() {}\n",
-            "//! bshm-allow(no-panic): looks real but is documentation\nfn f() {}\n",
+            "//! bshm-allow(no-raw-metric): looks real but is documentation\nfn f() {}\n",
             "/** bshm-allow stuff */\nfn f() {}\n",
         ] {
             let toks = tokenize(doc);
@@ -374,10 +343,10 @@ mod tests {
     #[test]
     fn apply_drops_covered_and_flags_unused() {
         let toks = tokenize(
-            "x.unwrap(); // bshm-allow(no-panic): fine\n// bshm-allow(no-panic): stale\nlet a = 1;\n",
+            "m.ops += 1; // bshm-allow(no-raw-metric): fine\n// bshm-allow(no-raw-metric): stale\nlet a = 1;\n",
         );
         let (pragmas, _) = collect_pragmas(&toks, "f.rs");
-        let findings = vec![Diagnostic::error("no-panic", "f.rs", 1, "unwrap")];
+        let findings = vec![Diagnostic::error("no-raw-metric", "f.rs", 1, "raw write")];
         let out = apply_pragmas(findings, &pragmas, "f.rs");
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "pragma-unused");
@@ -393,34 +362,22 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].rule, "pragma-unknown-rule");
         // Known-but-idle pragmas still read as stale, not unknown.
-        let toks = tokenize("let x = 1; // bshm-allow(no-panic): nothing here\n");
+        let toks = tokenize("let x = 1; // bshm-allow(no-raw-metric): nothing here\n");
         let (pragmas, _) = collect_pragmas(&toks, "f.rs");
         let out = apply_pragmas(Vec::new(), &pragmas, "f.rs");
         assert_eq!(out[0].rule, "pragma-unused");
         // Drift slugs and `all` are known names.
         assert!(known_rule("all"));
         assert!(known_rule("drift/rules-manifest"));
-        assert!(known_rule("taint-path"));
+        assert!(known_rule("no-raw-metric"));
         assert!(!known_rule("no-pnaic"));
-    }
-
-    #[test]
-    fn tracked_application_returns_suppressions_with_reasons() {
-        let toks = tokenize("x.unwrap(); // bshm-allow(no-panic): len checked\n");
-        let (pragmas, _) = collect_pragmas(&toks, "f.rs");
-        let findings = vec![Diagnostic::error("no-panic", "f.rs", 1, "unwrap")];
-        let (out, suppressed) = apply_pragmas_tracked(findings, &pragmas, "f.rs");
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!(suppressed.len(), 1);
-        assert_eq!(suppressed[0].0.rule, "no-panic");
-        assert_eq!(suppressed[0].1, "len checked");
     }
 
     #[test]
     fn report_counts_and_renders() {
         let r = Report::new(
             vec![
-                Diagnostic::error("no-panic", "b.rs", 3, "x"),
+                Diagnostic::error("no-raw-metric", "b.rs", 3, "x"),
                 Diagnostic::warning("pragma-unused", "a.rs", 1, "y"),
             ],
             2,
@@ -430,9 +387,9 @@ mod tests {
         // Sorted by file.
         assert_eq!(r.diagnostics[0].file, "a.rs");
         let text = r.render_human();
-        assert!(text.contains("b.rs:3: error[no-panic]"));
+        assert!(text.contains("b.rs:3: error[no-raw-metric]"));
         assert!(text.contains("2 file(s) scanned, 1 error(s), 1 warning(s)"));
         let json = r.render_json().unwrap();
-        assert!(json.contains("\"rule\": \"no-panic\""));
+        assert!(json.contains("\"rule\": \"no-raw-metric\""));
     }
 }

@@ -708,15 +708,16 @@ mod tests {
     fn rules_manifest_catches_missing_and_unknown_rules() {
         let tax = full_taxonomy();
         // Drop one registered rule from the manifest.
-        let missing = full_manifest().replace("\"no-panic\", ", "");
+        let missing = full_manifest().replace("\"no-raw-metric\", ", "");
         let d = audit_rules_manifest(&missing, &tax, &tax);
         assert!(
-            d.iter().any(|d| d.message.contains("`no-panic`")
+            d.iter().any(|d| d.message.contains("`no-raw-metric`")
                 && d.message.contains("missing from the manifest")),
             "{d:?}"
         );
         // Add a rule the registry does not know.
-        let phantom = full_manifest().replace("\"no-panic\"", "\"no-panic\", \"made-up\"");
+        let phantom =
+            full_manifest().replace("\"no-raw-metric\"", "\"no-raw-metric\", \"made-up\"");
         let d = audit_rules_manifest(&phantom, &tax, &tax);
         assert!(
             d.iter()
@@ -731,11 +732,11 @@ mod tests {
     #[test]
     fn rules_manifest_catches_doc_and_generator_drift() {
         let tax = full_taxonomy();
-        let gutted = tax.replace("`taint-path`", "`taint–path`");
+        let gutted = tax.replace("`no-untyped-reject`", "`no–untyped-reject`");
         let d = audit_rules_manifest(&full_manifest(), &gutted, &tax);
         assert!(
             d.iter()
-                .any(|d| d.file == "EXPERIMENTS.md" && d.message.contains("`taint-path`")),
+                .any(|d| d.file == "EXPERIMENTS.md" && d.message.contains("`no-untyped-reject`")),
             "{d:?}"
         );
         let d = audit_rules_manifest(&full_manifest(), &tax, &gutted);

@@ -525,9 +525,9 @@ mod tests {
 
     #[test]
     fn comment_text_preserved_for_pragmas() {
-        let toks = tokenize("x(); // bshm-allow(no-panic): test fixture\n");
+        let toks = tokenize("x(); // bshm-allow(no-raw-metric): test fixture\n");
         let c = toks.iter().find(|t| t.is_comment()).unwrap();
-        assert!(c.text.contains("bshm-allow(no-panic)"));
+        assert!(c.text.contains("bshm-allow(no-raw-metric)"));
         assert_eq!(c.line, 1);
     }
 }

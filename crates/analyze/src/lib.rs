@@ -4,39 +4,33 @@
 //! compiler cannot see: exact cost accounting over integer time,
 //! deterministic replayable traces, and a hand-synchronized TraceEvent
 //! schema shared by the emitter, the replay checker and the Prometheus
-//! encoder. Because the build is offline (registry deps are in-tree
-//! shims), clippy plugins/dylint are unavailable — so the analyzer is an
-//! ordinary workspace crate: a comment/string/raw-string-aware tokenizer
-//! ([`lexer`]), a rule engine with severities and per-line
-//! `// bshm-allow(rule): reason` pragmas ([`diag`], [`rules`]), and
-//! cross-artifact drift auditors ([`drift`]).
-//!
-//! Since PR 9 the per-file rules sit under a three-layer whole-workspace
-//! stack: an item parser ([`items`]) builds a symbol table on the lexer,
-//! a call graph ([`graph`]) resolves intra-workspace calls best-effort
-//! (with the unresolved remainder itself reported), and a taint engine
-//! ([`taint`]) propagates nondeterminism from sources to trace/bench/
-//! checkpoint/alert sinks along that graph, plus a concurrency-readiness
-//! audit over the solver entry points.
+//! encoder. The generic parts of that story — no panics, lossy casts,
+//! prints, clock reads, float equality, hash-ordered iteration or
+//! mutable statics in shipping code — are built-in clippy lints, set in
+//! each crate root and in `clippy.toml`, and CI's clippy step enforces
+//! them. This crate keeps what clippy cannot express: a
+//! comment/string/raw-string-aware tokenizer ([`lexer`]), three
+//! codebase-specific rules with per-line `// bshm-allow(rule): reason`
+//! pragmas ([`diag`], [`rules`]), and cross-artifact drift auditors
+//! ([`drift`]).
 //!
 //! Run it as `cargo run -p bshm-analyze` (add `-- --format json` for the
-//! CI artifact, `--graph`/`--taint` for the layer reports). Exit status
-//! is non-zero iff any error-severity diagnostic survives pragma
-//! filtering.
+//! CI artifact). Exit status is non-zero iff any error-severity
+//! diagnostic survives pragma filtering.
+
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 
 pub mod context;
 pub mod diag;
 pub mod drift;
-pub mod graph;
-pub mod items;
 pub mod lexer;
 pub mod rules;
-pub mod taint;
 pub mod walk;
 
 use context::FileContext;
 use diag::{Diagnostic, Report};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Lints one file's source text (pragmas applied). Exposed so fixture
@@ -59,79 +53,6 @@ pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let findings = rules::check_file(&ctx, &code, &mask);
     diags.extend(diag::apply_pragmas(findings, &pragmas, &ctx.path));
     diags
-}
-
-/// The full three-layer result: merged diagnostics plus the graph and
-/// taint reports that `--graph`/`--taint` serialize for CI.
-pub struct WorkspaceAnalysis {
-    /// Per-file rules + taint/audit findings + drift audits, post-pragma.
-    pub report: Report,
-    /// Call-graph statistics, including the unresolved bucket.
-    pub graph: graph::GraphReport,
-    /// Taint propagation + concurrency-audit summary.
-    pub taint: taint::TaintReport,
-}
-
-/// The pure whole-workspace core: lints, call graph, and taint over a set
-/// of `(rel_path, source)` files. No filesystem access — fixture tests
-/// feed synthetic workspaces through this; [`analyze_workspace_full`]
-/// feeds the real one (and appends the drift audits, which need non-Rust
-/// artifacts).
-///
-/// Pragmas are applied exactly once per file, over the *merged* per-file
-/// and graph-level findings — so a `bshm-allow(taint-path)` line pragma
-/// suppresses the cross-file finding anchored there, and a pragma used
-/// only by a taint finding does not misfire as `pragma-unused`.
-#[must_use]
-pub fn analyze_files(sources: &[(String, String)]) -> WorkspaceAnalysis {
-    let mut parsed: Vec<graph::ParsedFile> = Vec::with_capacity(sources.len());
-    let mut pragmas_per = Vec::with_capacity(sources.len());
-    let mut findings_per: Vec<Vec<Diagnostic>> = Vec::with_capacity(sources.len());
-    let mut diags = Vec::new();
-    for (rel, src) in sources {
-        let ctx = FileContext::classify(rel);
-        let toks = lexer::tokenize(src);
-        let in_test = context::test_regions(&toks);
-        let (pragmas, pragma_diags) = diag::collect_pragmas(&toks, &ctx.path);
-        diags.extend(pragma_diags);
-        let pf = graph::ParsedFile::build(rel, &toks, &in_test);
-        findings_per.push(rules::check_file(&pf.ctx, &pf.code, &pf.mask));
-        pragmas_per.push(pragmas);
-        parsed.push(pf);
-    }
-    let g = graph::build(&parsed);
-    let (taint_findings, mut taint_report) = taint::analyze(&parsed, &g);
-    let index: BTreeMap<&str, usize> = parsed
-        .iter()
-        .enumerate()
-        .map(|(i, pf)| (pf.rel.as_str(), i))
-        .collect();
-    for f in taint_findings {
-        match index.get(f.file.as_str()) {
-            Some(&i) => findings_per[i].push(f),
-            None => diags.push(f),
-        }
-    }
-    for (i, findings) in findings_per.into_iter().enumerate() {
-        let (kept, suppressed) =
-            diag::apply_pragmas_tracked(findings, &pragmas_per[i], &parsed[i].rel);
-        diags.extend(kept);
-        for (d, reason) in suppressed {
-            if matches!(d.rule.as_str(), "taint-path" | "concurrency-audit") {
-                taint_report.suppressed.push(taint::SuppressedPath {
-                    rule: d.rule,
-                    file: d.file,
-                    line: d.line,
-                    reason,
-                });
-            }
-        }
-    }
-    WorkspaceAnalysis {
-        report: Report::new(diags, sources.len()),
-        graph: g.report,
-        taint: taint_report,
-    }
 }
 
 /// Runs the drift auditors against in-memory copies of the synchronized
@@ -214,36 +135,22 @@ impl DriftInputs {
     }
 }
 
-/// Analyzes a whole workspace: lints every first-party `.rs` file, builds
-/// the call graph, runs taint + the concurrency audit, and runs the drift
-/// auditors against the real artifacts.
+/// Analyzes a whole workspace: lints every first-party `.rs` file and
+/// runs the drift auditors against the real artifacts.
 ///
 /// # Errors
 /// Propagates unreadable source files and drift artifacts (a missing
 /// synchronized file is itself a drift failure worth a hard error).
-pub fn analyze_workspace_full(root: &Path) -> Result<WorkspaceAnalysis, String> {
+pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
     let paths = walk::rust_files(root);
-    let mut sources = Vec::with_capacity(paths.len());
+    let mut diags = Vec::new();
     for path in &paths {
-        let rel = walk::rel(root, path);
         let src = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        sources.push((rel, src));
+        diags.extend(analyze_source(&walk::rel(root, path), &src));
     }
-    let mut wa = analyze_files(&sources);
-    let mut diags = std::mem::take(&mut wa.report.diagnostics);
     diags.extend(DriftInputs::load(root)?.audit());
-    wa.report = Report::new(diags, paths.len());
-    Ok(wa)
-}
-
-/// Back-compat wrapper around [`analyze_workspace_full`] returning only
-/// the diagnostic report.
-///
-/// # Errors
-/// See [`analyze_workspace_full`].
-pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
-    Ok(analyze_workspace_full(root)?.report)
+    Ok(Report::new(diags, paths.len()))
 }
 
 #[cfg(test)]
@@ -252,68 +159,18 @@ mod tests {
 
     #[test]
     fn analyze_source_applies_pragmas() {
-        let src = "fn f() {\n  x.unwrap(); // bshm-allow(no-panic): fixture\n  y.unwrap();\n}\n";
-        let d = analyze_source("crates/core/src/x.rs", src);
+        let src = "fn f(m: &mut Metrics) {\n  m.ops += 1; // bshm-allow(no-raw-metric): fixture\n  m.opens += 1;\n}\n";
+        let d = analyze_source("crates/obs/src/x.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 3);
     }
 
     #[test]
     fn analyze_source_reports_malformed_pragma() {
-        let src = "fn f() { x.unwrap(); } // bshm-allow(no-panic)\n";
-        let d = analyze_source("crates/core/src/x.rs", src);
+        let src = "fn f(m: &mut Metrics) { m.ops += 1; } // bshm-allow(no-raw-metric)\n";
+        let d = analyze_source("crates/obs/src/x.rs", src);
         assert!(d.iter().any(|d| d.rule == "pragma-syntax"), "{d:?}");
-        // The unwrap still fires: a broken pragma suppresses nothing.
-        assert!(d.iter().any(|d| d.rule == "no-panic"), "{d:?}");
-    }
-
-    #[test]
-    fn analyze_files_merges_taint_findings_with_per_file_rules() {
-        // The wall-clock read fires both the per-file rule and (via the
-        // callee edge into the TraceEvent emitter) a taint-path finding.
-        let sources = vec![
-            (
-                "crates/sim/src/stamp.rs".to_string(),
-                "pub fn stamp() -> u64 { let t = Instant::now(); emit(t); 0 }\n".to_string(),
-            ),
-            (
-                "crates/sim/src/emit.rs".to_string(),
-                "pub fn emit(t: u64) { record(TraceEvent::Tick { t }); }\n".to_string(),
-            ),
-        ];
-        let wa = analyze_files(&sources);
-        let rules: Vec<&str> = wa
-            .report
-            .diagnostics
-            .iter()
-            .map(|d| d.rule.as_str())
-            .collect();
-        assert!(rules.contains(&"wall-clock"), "{rules:?}");
-        assert!(rules.contains(&"taint-path"), "{rules:?}");
-        assert!(wa.graph.fns >= 2);
-        assert_eq!(wa.taint.sources, 1);
-    }
-
-    #[test]
-    fn taint_pragma_suppresses_and_is_listed_not_unused() {
-        // Pragmas apply once over the merged findings: one line pragma per
-        // rule silences the cross-file taint finding without tripping
-        // `pragma-unused`, and the suppression lands in the taint report.
-        let sources = vec![
-            (
-                "crates/sim/src/stamp.rs".to_string(),
-                "pub fn stamp() -> u64 {\n  // bshm-allow(wall-clock): fixture — sanctioned read\n  // bshm-allow(taint-path): fixture — value never keys a fold\n  let t = Instant::now(); emit(t); 0\n}\n".to_string(),
-            ),
-            (
-                "crates/sim/src/emit.rs".to_string(),
-                "pub fn emit(t: u64) { record(TraceEvent::Tick { t }); }\n".to_string(),
-            ),
-        ];
-        let wa = analyze_files(&sources);
-        assert_eq!(wa.report.errors, 0, "{:?}", wa.report.diagnostics);
-        assert_eq!(wa.report.warnings, 0, "{:?}", wa.report.diagnostics);
-        assert_eq!(wa.taint.suppressed.len(), 1, "{:?}", wa.taint.suppressed);
-        assert_eq!(wa.taint.suppressed[0].rule, "taint-path");
-        assert!(wa.taint.suppressed[0].reason.contains("never keys a fold"));
+        // The raw write still fires: a broken pragma suppresses nothing.
+        assert!(d.iter().any(|d| d.rule == "no-raw-metric"), "{d:?}");
     }
 }

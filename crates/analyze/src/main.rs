@@ -3,15 +3,17 @@
 //! Options:
 //!   --format human|json   output format (default human)
 //!   --out FILE            also write the JSON report to FILE
-//!   --graph FILE          write the call-graph JSON report to FILE
-//!   --taint FILE          write the taint/concurrency JSON report to FILE
 //!   --root DIR            workspace root (default: auto-detect)
 //!   --list-rules          print the rule table and exit
 //!
 //! Exit status: 0 when no error-severity diagnostics remain, 1 otherwise,
 //! 2 on usage/IO errors.
 
-use bshm_analyze::{analyze_workspace_full, drift, rules};
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
+
+use bshm_analyze::{analyze_workspace, drift, rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -19,8 +21,6 @@ fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = "human".to_string();
     let mut out_path: Option<String> = None;
-    let mut graph_path: Option<String> = None;
-    let mut taint_path: Option<String> = None;
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -35,20 +35,6 @@ fn run() -> Result<bool, String> {
                 out_path = Some(
                     it.next()
                         .ok_or_else(|| "--out expects a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--graph" => {
-                graph_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--graph expects a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--taint" => {
-                taint_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--taint expects a path".to_string())?
                         .clone(),
                 );
             }
@@ -88,8 +74,7 @@ fn run() -> Result<bool, String> {
         // The binary lives in crates/analyze; the workspace root is two up.
         None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
     };
-    let wa = analyze_workspace_full(&root)?;
-    let report = &wa.report;
+    let report = analyze_workspace(&root)?;
     if format == "json" {
         println!("{}", report.render_json()?);
     } else {
@@ -97,16 +82,6 @@ fn run() -> Result<bool, String> {
     }
     if let Some(p) = out_path {
         std::fs::write(&p, report.render_json()?).map_err(|e| format!("writing {p}: {e}"))?;
-    }
-    if let Some(p) = graph_path {
-        let json = serde_json::to_string_pretty(&wa.graph)
-            .map_err(|e| format!("serializing graph report: {e}"))?;
-        std::fs::write(&p, json).map_err(|e| format!("writing {p}: {e}"))?;
-    }
-    if let Some(p) = taint_path {
-        let json = serde_json::to_string_pretty(&wa.taint)
-            .map_err(|e| format!("serializing taint report: {e}"))?;
-        std::fs::write(&p, json).map_err(|e| format!("writing {p}: {e}"))?;
     }
     Ok(report.errors == 0)
 }

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 /// (not first-party code — they mirror external crates' APIs), and VCS.
 const SKIP_DIRS: [&str; 4] = ["target", "shims", ".git", "bench_results"];
 
-/// Recursively collects `.rs` files under `root`, skipping [`SKIP_DIRS`]
+/// Recursively collects `.rs` files under `root`, skipping `SKIP_DIRS`
 /// and every subdirectory that is a Cargo workspace of its own (its
 /// `Cargo.toml` declares `[workspace]`), sorted by path for stable output.
 /// A nested workspace builds apart from this one, so this workspace's

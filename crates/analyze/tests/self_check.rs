@@ -9,12 +9,13 @@
 //!    artifacts — a new TraceEvent variant unknown to the replay checker,
 //!    a dispatched-but-undocumented subcommand, a bumped schema version,
 //!    a rule missing from the committed `ANALYZE_RULES.json` manifest.
-//! 4. The graph/taint layers hold their committed invariants on the real
-//!    workspace: low unresolved fraction, zero concurrency-audit findings
-//!    reachable from the solver entry points, and a seeded wall-clock →
-//!    TraceEvent fixture fails analysis.
+//!
+//! 4. The generic rules (no panics, casts, prints, clock reads, float
+//!    equality, hash-ordered iteration, mutable statics, raw file writes,
+//!    unbounded channels) stay configured as clippy lints. CI's clippy
+//!    step enforces them; this suite only pins their configuration.
 
-use bshm_analyze::{analyze_files, analyze_source, analyze_workspace_full, DriftInputs};
+use bshm_analyze::{analyze_source, analyze_workspace, walk, DriftInputs};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -23,15 +24,14 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn committed_workspace_is_clean_and_fast() {
-    // Generous wall-clock bound: the whole three-layer pass (lint rules,
-    // item parse, call graph, taint, drift audits) must stay interactive
+    // Generous wall-clock bound: the whole pass (lint rules, drift
+    // audits) must stay interactive
     // so pre-merge checks never become minutes-slow. Debug builds on a
     // loaded CI box run ~10x slower than release; 60s is ~20x headroom
     // over the observed debug-mode runtime.
     let started = std::time::Instant::now();
-    let wa = analyze_workspace_full(&workspace_root()).expect("workspace analyzable");
+    let report = analyze_workspace(&workspace_root()).expect("workspace analyzable");
     let elapsed = started.elapsed();
-    let report = &wa.report;
     let rendered = report.render_human();
     assert_eq!(
         report.errors, 0,
@@ -49,132 +49,61 @@ fn committed_workspace_is_clean_and_fast() {
     );
     assert!(
         elapsed < std::time::Duration::from_secs(60),
-        "analyze took {elapsed:?}; the graph passes made pre-merge checks too slow"
-    );
-}
-
-#[test]
-fn call_graph_unresolved_bucket_stays_small() {
-    let wa = analyze_workspace_full(&workspace_root()).expect("workspace analyzable");
-    let g = &wa.graph;
-    // The workspace has ~1500 fns; a collapse in item parsing or call
-    // resolution would show up as a tiny graph or a ballooning bucket.
-    assert!(g.fns > 500, "only {} fns in the call graph", g.fns);
-    assert!(g.edges > 1000, "only {} resolved edges", g.edges);
-    assert!(
-        g.unresolved_fraction < 0.15,
-        "unresolved fraction {:.3} breached the committed threshold (sample: {:?})",
-        g.unresolved_fraction,
-        g.unresolved_sample
-    );
-}
-
-#[test]
-fn concurrency_audit_is_clean_on_solver_paths() {
-    let wa = analyze_workspace_full(&workspace_root()).expect("workspace analyzable");
-    let a = &wa.taint.audit;
-    // The 12 algorithm decision paths all enter through non-test algos
-    // fns; a shrunken entry set would make the zero-findings claim vacuous.
-    assert!(a.entry_points >= 12, "only {} entry points", a.entry_points);
-    assert!(
-        a.reachable_fns > a.entry_points,
-        "solver closure did not expand past its entry points"
-    );
-    assert_eq!(
-        a.unordered_iter_reachable, 0,
-        "unordered iteration reachable from solvers"
-    );
-    assert_eq!(
-        a.interior_mutability_reachable, 0,
-        "interior mutability reachable from solvers"
-    );
-    assert_eq!(a.shared_mutable_statics, 0, "static mut in library crates");
-    // Every surviving suppression carries its reason into the artifact.
-    assert!(wa.taint.suppressed.iter().all(|s| !s.reason.is_empty()));
-}
-
-#[test]
-fn seeded_wall_clock_to_trace_event_path_fails_analysis() {
-    // The ISSUE's acceptance fixture: wall-clock value flowing through a
-    // helper into a TraceEvent emission must fail whole-workspace analysis
-    // with a taint-path error (on top of the per-file wall-clock lint).
-    let sources = vec![
-        (
-            "crates/sim/src/seeded_stamp.rs".to_string(),
-            "pub fn seeded_stamp() -> u64 { elapsed_ns(std::time::Instant::now()) }\n\
-             fn elapsed_ns(_t: u64) -> u64 { 0 }\n"
-                .to_string(),
-        ),
-        (
-            "crates/sim/src/seeded_emit.rs".to_string(),
-            "pub fn seeded_emit(p: &mut Probe) { p.record(TraceEvent::Tick { t: seeded_stamp() }); }\n"
-                .to_string(),
-        ),
-    ];
-    let wa = analyze_files(&sources);
-    assert!(wa.report.errors > 0, "fixture passed analysis");
-    assert!(
-        wa.report.diagnostics.iter().any(|d| d.rule == "taint-path"
-            && d.file == "crates/sim/src/seeded_stamp.rs"
-            && d.message.contains("wall-clock")),
-        "no taint-path error: {:?}",
-        wa.report.diagnostics
+        "analyze took {elapsed:?}; pre-merge checks became too slow"
     );
 }
 
 #[test]
 fn seeded_violations_are_caught() {
-    // One fixture per rule, written as library-crate code (strict context).
-    let cases: &[(&str, &str)] = &[
-        ("no-panic", "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n"),
-        ("no-panic", "fn f() { panic!(\"boom\"); }\n"),
-        ("float-eq", "fn f(rate: f64) -> bool { rate == 0.5 }\n"),
-        ("lossy-cast", "fn f(x: u64) -> u32 { x as u32 }\n"),
+    // One fixture per rule, each at a path inside the rule's scope.
+    let cases: &[(&str, &str, &str)] = &[
         (
-            "wall-clock",
-            "fn f() { let _t = std::time::Instant::now(); }\n",
+            "no-raw-metric",
+            "crates/sim/src/seeded.rs",
+            "fn f(m: &mut Metrics) { m.opens += 1; }\n",
         ),
-        ("no-print", "fn f() { println!(\"dbg\"); }\n"),
+        (
+            "no-untyped-reject",
+            "crates/core/src/seeded.rs",
+            "fn f(l: &mut L) { l.rejected(m, \"full\"); }\n",
+        ),
+        (
+            "no-untyped-reject",
+            "crates/faults/src/seeded.rs",
+            "fn f(c: &mut C) { c.reject(\"busy\"); }\n",
+        ),
+        (
+            "no-unbounded-buffer",
+            "crates/obs/src/seeded.rs",
+            "fn f() -> VecDeque<u64> { VecDeque::new() }\n",
+        ),
     ];
-    for (rule, src) in cases {
-        let diags = analyze_source("crates/core/src/seeded.rs", src);
+    for (rule, path, src) in cases {
+        let diags = analyze_source(path, src);
         assert!(
             diags.iter().any(|d| d.rule == *rule),
             "fixture for {rule} produced {diags:?}"
         );
     }
-    // The faults crate is a strict library crate too.
-    let diags = analyze_source(
-        "crates/faults/src/seeded.rs",
-        "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    );
-    assert!(
-        diags.iter().any(|d| d.rule == "no-panic"),
-        "faults crate not strict: {diags:?}"
-    );
-    // no-raw-trace-write fires only in obs/sim, outside the sink module.
-    let raw = "fn f(p: &std::path::Path) { let _ = std::fs::write(p, \"x\"); }\n";
-    let diags = analyze_source("crates/obs/src/seeded.rs", raw);
-    assert!(
-        diags.iter().any(|d| d.rule == "no-raw-trace-write"),
-        "raw trace write not caught: {diags:?}"
-    );
-    assert!(analyze_source("crates/obs/src/sink.rs", raw)
-        .iter()
-        .all(|d| d.rule != "no-raw-trace-write"));
+    // no-raw-metric exempts the recorder fold, its one sanctioned site.
+    assert!(analyze_source(
+        "crates/obs/src/recorder.rs",
+        "fn f(m: &mut Metrics) { m.opens += 1; }\n"
+    )
+    .is_empty());
 }
 
 #[test]
 fn pragma_suppresses_seeded_violation() {
-    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // bshm-allow(no-panic): fixture\n";
-    let diags = analyze_source("crates/core/src/seeded.rs", src);
+    let src = "fn f(m: &mut Metrics) { m.opens += 1; } // bshm-allow(no-raw-metric): fixture\n";
+    let diags = analyze_source("crates/sim/src/seeded.rs", src);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
 fn test_code_is_exempt() {
-    let src = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { None::<u32>.unwrap(); }\n}\n";
-    let diags = analyze_source("crates/core/src/seeded.rs", src);
+    let src = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { let mut m = Metrics::default(); m.opens += 1; }\n}\n";
+    let diags = analyze_source("crates/sim/src/seeded.rs", src);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -225,7 +154,9 @@ fn drift_auditor_fails_on_rules_manifest_drift() {
     assert!(inputs.audit().is_empty(), "baseline drift audit must pass");
 
     // Drop a registered rule from the committed manifest.
-    let pruned = inputs.rules_manifest.replace("    \"no-panic\",\n", "");
+    let pruned = inputs
+        .rules_manifest
+        .replace("    \"no-raw-metric\",\n", "");
     assert_ne!(
         pruned, inputs.rules_manifest,
         "mutation must actually apply"
@@ -235,7 +166,7 @@ fn drift_auditor_fails_on_rules_manifest_drift() {
     assert!(
         diags
             .iter()
-            .any(|d| d.rule == "drift/rules-manifest" && d.message.contains("no-panic")),
+            .any(|d| d.rule == "drift/rules-manifest" && d.message.contains("no-raw-metric")),
         "pruned manifest not caught: {diags:?}"
     );
 }
@@ -255,4 +186,119 @@ fn drift_auditor_fails_on_schema_version_bump() {
         diags.iter().any(|d| d.rule == "drift/bench-schema"),
         "schema bump not caught: {diags:?}"
     );
+}
+
+#[test]
+fn clippy_keeps_the_generic_rules_configured() {
+    let root = workspace_root();
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("reading {rel}: {e}"))
+    };
+    // Every crate root: float equality and the clippy.toml methods.
+    let all_crates = "#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]";
+    let library_lints = [
+        "clippy::unwrap_used",
+        "clippy::expect_used",
+        "clippy::panic",
+        "clippy::unreachable",
+        "clippy::todo",
+        "clippy::unimplemented",
+        "clippy::cast_possible_truncation",
+        "clippy::cast_sign_loss",
+        "clippy::cast_possible_wrap",
+        "clippy::cast_lossless",
+        "clippy::print_stdout",
+        "clippy::print_stderr",
+        "clippy::dbg_macro",
+        "clippy::float_cmp",
+        "clippy::iter_over_hash_type",
+        "clippy::disallowed_methods",
+        "clippy::disallowed_macros",
+        "static_mut_refs",
+        "unsafe_code",
+    ];
+    let roots: Vec<String> = walk::rust_files(&root)
+        .iter()
+        .map(|p| walk::rel(&root, p))
+        .filter(|r| {
+            r.ends_with("src/lib.rs") || r.ends_with("src/main.rs") || r.contains("/src/bin/")
+        })
+        .collect();
+    assert!(
+        roots.len() >= 16,
+        "only {} crate roots: {roots:?}",
+        roots.len()
+    );
+    for rel in &roots {
+        let src = read(rel);
+        let library = ["core", "algos", "sim", "obs", "faults"]
+            .iter()
+            .any(|c| *rel == format!("crates/{c}/src/lib.rs"));
+        if library {
+            let attr = src
+                .split("#![cfg_attr(\n    not(test),\n    deny(")
+                .nth(1)
+                .and_then(|rest| rest.split(")\n)]").next())
+                .unwrap_or_else(|| panic!("{rel}: no library lint attribute"));
+            for lint in library_lints {
+                assert!(
+                    attr.contains(&format!("{lint},")) || attr.contains(&format!("{lint}\n")),
+                    "{rel}: {lint} not denied"
+                );
+            }
+        } else {
+            assert!(src.contains(all_crates), "{rel}: missing `{all_crates}`");
+        }
+    }
+    for rel in ["crates/core/src/schedule.rs", "crates/core/src/cost.rs"] {
+        assert!(
+            read(rel).contains("#![deny(clippy::must_use_candidate)]"),
+            "{rel}"
+        );
+    }
+    let manifest = read("Cargo.toml");
+    for lint in ["allow_attributes", "allow_attributes_without_reason"] {
+        assert!(
+            manifest.contains(&format!("{lint} = \"deny\"")),
+            "Cargo.toml: {lint}"
+        );
+    }
+    let lists: [(&str, &[&str]); 4] = [
+        ("clippy.toml", &["std::thread_local"]),
+        (
+            "crates/obs/clippy.toml",
+            &[
+                "std::fs::File::create",
+                "std::fs::write",
+                "std::thread_local",
+            ],
+        ),
+        (
+            "crates/sim/clippy.toml",
+            &[
+                "std::fs::File::create",
+                "std::fs::write",
+                "std::thread_local",
+            ],
+        ),
+        (
+            "crates/serve/clippy.toml",
+            &[
+                "std::collections::VecDeque::new",
+                "std::sync::mpsc::channel",
+            ],
+        ),
+    ];
+    for (rel, paths) in lists {
+        let toml = read(rel);
+        for path in ["std::time::Instant::now", "std::time::SystemTime::now"]
+            .iter()
+            .chain(paths)
+        {
+            assert!(
+                toml.contains(&format!("path = \"{path}\"")),
+                "{rel}: {path} not listed"
+            );
+        }
+    }
 }

@@ -348,7 +348,6 @@ fn measure_recovery(alg: &str, instance: &Instance) -> (u64, f64) {
 /// temp directory and are removed on the way out.
 fn measure_service(quick: bool) -> ServiceBaseline {
     let mode = if quick { "quick" } else { "full" };
-    // bshm-allow(taint-path): selects only where the drills write; their verdicts and counters are seed-deterministic
     let dir = std::env::temp_dir().join(format!("bshm-baseline-{mode}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let crash = crash_recovery_drill(&dir.join("crash"))

@@ -12,6 +12,10 @@
 //! test runs. Exits 1 when any answer differs or the NoProbe overhead
 //! bound is breached, and 2 on a usage or write error.
 
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
+
 use bshm_bench::baseline::{gate, run_suite, write_report};
 use std::io::Write;
 use std::path::PathBuf;

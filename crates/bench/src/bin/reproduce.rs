@@ -19,6 +19,10 @@
 //! differing line, and exits 1 if any does. `BSHM_RESULTS_DIR` and
 //! `BSHM_EXPERIMENTS_MD` move where both modes read and write.
 
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
+
 use bshm_bench::table::Table;
 use bshm_bench::{run_experiment, ALL_EXPERIMENTS};
 use std::io::Write;
@@ -36,11 +40,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paths = Paths {
         results: PathBuf::from(
-            // bshm-allow(taint-path): selects only WHERE reports are written; table contents are seed-deterministic
             std::env::var("BSHM_RESULTS_DIR").unwrap_or_else(|_| "bench_results".to_string()),
         ),
         experiments_md: PathBuf::from(
-            // bshm-allow(taint-path): selects only WHERE the doc is written; generated text is seed-deterministic
             std::env::var("BSHM_EXPERIMENTS_MD").unwrap_or_else(|_| "EXPERIMENTS.md".to_string()),
         ),
     };
@@ -371,34 +373,36 @@ check is always reproducible:
     out.push_str(
         r#"## Static-analysis rule taxonomy
 
-`bshm-analyze` runs in CI over every first-party crate (per-file token
-rules, then a whole-workspace item-graph/call-graph/taint pass; see
-README § Static analysis). The registry is pinned by the committed
-`ANALYZE_RULES.json` manifest — adding, renaming, or dropping a rule
-without updating the manifest, this table, and the doc generator fails
-the build (`drift/rules-manifest`).
+The generic rules are built-in clippy lints, set in the crate roots and
+`clippy.toml` and enforced by CI's clippy step (`-D warnings`).
+`bshm-analyze` runs in CI over every first-party crate for the rules
+clippy cannot express (see README § Static analysis). Its registry is
+pinned by the committed `ANALYZE_RULES.json` manifest — adding,
+renaming, or dropping a rule without updating the manifest, this table,
+and the doc generator fails the build (`drift/rules-manifest`).
 
 | rule | guards |
 |---|---|
-| `no-panic` | no unwrap/expect/panic! in library-crate code |
-| `float-eq` | no exact `==`/`!=` on float expressions |
-| `lossy-cast` | no raw `as` casts to integer types in library crates |
-| `wall-clock` | no Instant/SystemTime reads outside `obs::clock` |
-| `no-print` | no console output from library crates |
-| `must-use-accessor` | value-returning core accessors are `#[must_use]` |
-| `no-raw-trace-write` | trace-shaped output goes through the crash-safe sink |
 | `no-raw-metric` | metric mutations go through the recorder fold (`Metrics::update`) |
 | `no-untyped-reject` | rejection probes take a typed RejectReason, never strings |
 | `no-unbounded-buffer` | obs ring/queue buffers declare a capacity bound |
-| `unordered-iter` | no HashMap/HashSet iteration in library crates (order is per-process random) |
-| `shared-mutable-static` | no `static mut`/`thread_local!` state in library crates |
-| `taint-path` | no call-graph path from a nondeterminism source (clock, unseeded RNG, unordered iteration, env/thread-id, pointer address) to a trace/bench/checkpoint/alert sink |
-| `concurrency-audit` | no unordered iteration or interior mutability reachable from the solver entry points (pre-flight gate for sharded solving) |
-| `no-unbounded-channel` | serve queues/channels declare a capacity; overflow is typed Overload backpressure, never silent growth |
 
 Cross-artifact drift auditors (same engine, non-Rust artifacts):
 `drift/trace-schema`, `drift/prometheus`, `drift/cli`,
 `drift/bench-schema`, `drift/rules-manifest`.
+
+Clippy lints, in non-test code of the library crates unless noted:
+
+| clippy lint | guards |
+|---|---|
+| `unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented` | no panics in library-crate code |
+| `cast_possible_truncation`, `cast_sign_loss`, `cast_possible_wrap`, `cast_lossless` | no lossy `as` casts in library crates |
+| `float_cmp` (every crate) | no exact `==`/`!=` on floats |
+| `disallowed_methods` (every crate) | no Instant/SystemTime reads outside `obs::clock`; in obs/sim, trace-shaped output goes through the crash-safe sink; in serve, queues and channels declare a capacity |
+| `print_stdout`, `print_stderr`, `dbg_macro` | no console output from library crates |
+| `iter_over_hash_type` | no `for` loop over a HashMap/HashSet (order is per-process random) |
+| `disallowed_macros`, `static_mut_refs`, `unsafe_code` | no `thread_local!`/`static mut` state in library crates |
+| `must_use_candidate` (core's `schedule.rs`, `cost.rs`) | value-returning core accessors are `#[must_use]` |
 
 "#,
     );

@@ -15,8 +15,10 @@
 //!
 //! All altitudes are in *doubled* demand units so `g_i/2` stays integral.
 
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod demand;
 pub mod placement;

@@ -66,9 +66,15 @@ pub fn machine_timeline(schedule: &Schedule, instance: &Instance) -> MachineTime
         let set: crate::time::IntervalSet =
             machine.jobs.iter().map(|j| jobs[j].interval()).collect();
         for span in set.iter() {
-            // bshm-allow(no-panic): span endpoints are job arrivals/departures, which seed the grid
+            #[expect(
+                clippy::expect_used,
+                reason = "span endpoints are job arrivals/departures, which seed the grid"
+            )]
             let a = grid.binary_search(&span.start()).expect("grid point");
-            // bshm-allow(no-panic): span endpoints are job arrivals/departures, which seed the grid
+            #[expect(
+                clippy::expect_used,
+                reason = "span endpoints are job arrivals/departures, which seed the grid"
+            )]
             let d = grid.binary_search(&span.end()).expect("grid point");
             for row in busy.iter_mut().take(d).skip(a) {
                 row[machine.machine_type.0] += 1;

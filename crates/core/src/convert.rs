@@ -1,7 +1,7 @@
 //! Audited integer conversions for index, count and tick quantities.
 //!
-//! The workspace bans raw `as` casts between integer widths (the
-//! `lossy-cast` rule in `bshm-analyze`): a silently truncated size or
+//! The library crates deny lossy `as` casts (`clippy::cast_possible_truncation`
+//! and its siblings, set in each crate root): a silently truncated size or
 //! machine index corrupts exact cost accounting without a trace. These
 //! helpers are the sanctioned alternatives — each states its contract
 //! and either cannot fail on supported targets or traps loudly at one
@@ -15,8 +15,11 @@
 /// wrapped id would silently merge two machines' busy intervals, which
 /// is strictly worse than a loud stop.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "single audited trap; >4G in-memory entries exhaust memory first"
+)]
 pub fn index_u32(i: usize) -> u32 {
-    // bshm-allow(no-panic): single audited trap; >4G in-memory entries exhaust memory first
     u32::try_from(i).expect("in-memory index fits u32")
 }
 
@@ -25,8 +28,11 @@ pub fn index_u32(i: usize) -> u32 {
 /// Lossless on every supported target (`usize` is at most 64 bits); the
 /// trap exists only to keep the contract honest on exotic platforms.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "usize is at most 64 bits on supported targets"
+)]
 pub fn count_u64(n: usize) -> u64 {
-    // bshm-allow(no-panic): usize is at most 64 bits on supported targets
     u64::try_from(n).expect("usize fits u64")
 }
 

@@ -5,6 +5,10 @@
 //! `r_i · len(⋃_{J assigned} I(J))`, and the schedule cost is the sum over
 //! machine instances. Costs are exact `u128` integers (rate × ticks).
 
+// A dropped Schedule or cost result hides accounting bugs: every public
+// fn that returns a plain value is `#[must_use]`.
+#![deny(clippy::must_use_candidate)]
+
 use crate::instance::Instance;
 use crate::job::{Job, JobId};
 use crate::schedule::{MachineSchedule, Schedule};
@@ -22,11 +26,14 @@ pub fn job_index(instance: &Instance) -> HashMap<JobId, Job> {
 
 /// The busy set of one machine: the union of its jobs' active intervals.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "documented contract — run validate_schedule before costing"
+)]
 pub fn machine_busy_set(machine: &MachineSchedule, jobs: &HashMap<JobId, Job>) -> IntervalSet {
     machine
         .jobs
         .iter()
-        // bshm-allow(no-panic): documented contract — run validate_schedule before costing
         .map(|id| jobs.get(id).expect("assigned job exists").interval())
         .collect()
 }
@@ -80,10 +87,11 @@ pub fn one_machine_per_job_cost(instance: &Instance) -> Cost {
         .jobs()
         .iter()
         .map(|j| {
+            #[expect(clippy::expect_used, reason = "Instance::new rejects oversize jobs")]
             let class = instance
                 .catalog()
                 .size_class(j.size)
-                .expect("instance validated"); // bshm-allow(no-panic): Instance::new rejects oversize jobs
+                .expect("instance validated");
             let rate = instance.catalog().get(class).rate;
             u128::from(j.duration()) * u128::from(rate)
         })

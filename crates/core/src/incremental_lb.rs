@@ -1,6 +1,6 @@
 //! Incrementally maintained busy-time lower bound.
 //!
-//! [`crate::lower_bound`] integrates the exact per-time optimal machine
+//! [`crate::lower_bound`](mod@crate::lower_bound) integrates the exact per-time optimal machine
 //! configuration over a *finished* instance by sweeping the whole event
 //! grid. That is the right tool offline, but an online run wants to watch
 //! the bound grow *live*: after every arrival or departure, "what is the

@@ -140,8 +140,9 @@ impl Instance {
 
     /// Aggregate job statistics (never `None`: instances are non-empty).
     #[must_use]
+    #[expect(clippy::expect_used, reason = "Instance::new rejects empty job sets")]
     pub fn stats(&self) -> JobStats {
-        job_stats(&self.jobs).expect("instance is non-empty") // bshm-allow(no-panic): Instance::new rejects empty job sets
+        job_stats(&self.jobs).expect("instance is non-empty")
     }
 
     /// DEC / INC / general classification of the catalog.

@@ -18,7 +18,7 @@
 //! * sweepline utilities for piecewise-constant load profiles ([`sweep`]);
 //! * the §II power-of-2 rate normalization ([`normalize`]);
 //! * the §II lower-bounding scheme — exact per-time optimal machine
-//!   configurations integrated over time ([`lower_bound`]);
+//!   configurations integrated over time ([`lower_bound`](mod@lower_bound));
 //! * an incrementally maintained variant of that bound for live gap
 //!   gauges ([`incremental_lb`]);
 //! * deterministic per-decision operation accounting — typed rejection
@@ -28,8 +28,34 @@
 //! Algorithms (DEC/INC/general, online and offline) live in `bshm-algos`;
 //! the non-clairvoyant event simulator in `bshm-sim`.
 
+// Shipping code stays panic-free, cast-clean, print-free and
+// deterministic; test code is exempt. See DESIGN.md § Static analysis and
+// the method/macro lists in clippy.toml.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_lossless,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::float_cmp,
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        static_mut_refs,
+        unsafe_code
+    )
+)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod analysis;
 pub mod convert;

@@ -379,13 +379,16 @@ fn solve(demands: &[u64], types: &[MachineType]) -> (Cost, Vec<u64>, u64) {
     }
 
     // Terminal states all have remaining == 0 (last level must cover).
+    #[expect(
+        clippy::expect_used,
+        reason = "the top type is unbounded (paper §2), so some state reaches remaining == 0"
+    )]
     let terminal = levels[m]
         .iter()
         .enumerate()
         .filter(|(_, s)| s.remaining == 0)
         .min_by_key(|(_, s)| s.cost)
         .map(|(i, s)| (i, *s))
-        // bshm-allow(no-panic): the top type is unbounded (paper §2), so some state reaches remaining == 0
         .expect("covering with the largest type is always feasible");
 
     // Backtrack counts.

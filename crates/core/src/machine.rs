@@ -226,8 +226,9 @@ impl Catalog {
 
     /// Largest capacity `g_m`.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "Catalog::new rejects empty type lists")]
     pub fn max_capacity(&self) -> u64 {
-        self.types.last().expect("catalog non-empty").capacity // bshm-allow(no-panic): Catalog::new rejects empty type lists
+        self.types.last().expect("catalog non-empty").capacity
     }
 
     /// The smallest type whose capacity fits `size`, i.e. the size class of a

@@ -36,12 +36,15 @@ pub struct NormalizedCatalog {
 /// Smallest power of two `≥ num/den` (exact rational comparison).
 /// Panics if the result would exceed `u64::MAX` (rates beyond 2⁶³ apart).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "deliberate trap — a rate ratio beyond 2^63 is unrepresentable input"
+)]
 pub fn pow2_ceil_ratio(num: u64, den: u64) -> u64 {
     assert!(den > 0);
     let mut p: u64 = 1;
     // p ≥ num/den ⟺ p·den ≥ num.
     while u128::from(p) * u128::from(den) < u128::from(num) {
-        // bshm-allow(no-panic): deliberate trap — a rate ratio beyond 2^63 is unrepresentable input
         p = p.checked_mul(2).expect("power-of-2 rate overflows u64");
     }
     p
@@ -68,7 +71,10 @@ impl NormalizedCatalog {
             }
         }
         let kept_types = keep.iter().map(|&i| catalog.types()[i]).collect();
-        // bshm-allow(no-panic): a sorted subset of a valid catalog stays valid
+        #[expect(
+            clippy::expect_used,
+            reason = "a sorted subset of a valid catalog stays valid"
+        )]
         let kept_catalog = Catalog::new(kept_types).expect("subset stays valid");
         Self {
             rates_pow2: keep.iter().map(|&i| rounded[i]).collect(),

@@ -6,6 +6,10 @@
 //! machine instance here is a logical container — "rent a type-i machine
 //! whenever one of these jobs is running".
 
+// A dropped Schedule or cost result hides accounting bugs: every public
+// fn that returns a plain value is `#[must_use]`.
+#![deny(clippy::must_use_candidate)]
+
 use crate::job::JobId;
 use crate::machine::TypeIndex;
 use serde::{Deserialize, Serialize};

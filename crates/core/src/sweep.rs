@@ -102,9 +102,15 @@ pub fn load_profile(jobs: &[Job]) -> Profile {
     let nseg = grid.len().saturating_sub(1);
     let mut diff = vec![0i128; nseg + 1];
     for j in jobs {
-        // bshm-allow(no-panic): the grid is built from these very arrivals
+        #[expect(
+            clippy::expect_used,
+            reason = "the grid is built from these very arrivals"
+        )]
         let a = grid.binary_search(&j.arrival).expect("arrival on grid");
-        // bshm-allow(no-panic): the grid is built from these very departures
+        #[expect(
+            clippy::expect_used,
+            reason = "the grid is built from these very departures"
+        )]
         let d = grid.binary_search(&j.departure).expect("departure on grid");
         diff[a] += i128::from(j.size);
         diff[d] -= i128::from(j.size);
@@ -114,7 +120,11 @@ pub fn load_profile(jobs: &[Job]) -> Profile {
     for d in diff.iter().take(nseg) {
         acc += d;
         debug_assert!(acc >= 0);
-        values.push(u64::try_from(acc).expect("load fits u64")); // bshm-allow(no-panic): acc >= 0 (departures never precede arrivals) and fits u64 by instance validation
+        #[expect(
+            clippy::expect_used,
+            reason = "acc >= 0 (departures never precede arrivals) and fits u64 by instance validation"
+        )]
+        values.push(u64::try_from(acc).expect("load fits u64"));
     }
     Profile { grid, values }
 }
@@ -180,13 +190,23 @@ pub fn demand_grid_until(jobs: &[Job], catalog: &Catalog, until: TimePoint) -> D
     // Per-class load differences, row-major by grid point.
     let mut diff = vec![0i128; (nseg + 1) * m];
     for (arrival, departure, size) in clipped() {
+        #[expect(
+            clippy::expect_used,
+            reason = "demand grids are built for validated instances"
+        )]
         let class = catalog
             .size_class(size)
-            .expect("job fits some machine type") // bshm-allow(no-panic): demand grids are built for validated instances
+            .expect("job fits some machine type")
             .0;
-        // bshm-allow(no-panic): the grid is built from these very arrivals
+        #[expect(
+            clippy::expect_used,
+            reason = "the grid is built from these very arrivals"
+        )]
         let a = grid.binary_search(&arrival).expect("arrival on grid");
-        // bshm-allow(no-panic): the grid is built from these very departures
+        #[expect(
+            clippy::expect_used,
+            reason = "the grid is built from these very departures"
+        )]
         let d = grid.binary_search(&departure).expect("departure on grid");
         diff[a * m + class] += i128::from(size);
         diff[d * m + class] -= i128::from(size);
@@ -200,9 +220,13 @@ pub fn demand_grid_until(jobs: &[Job], catalog: &Catalog, until: TimePoint) -> D
         }
         // D_{i} = Σ_{c ≥ i} class-load c (suffix sums).
         let mut suffix: i128 = 0;
+        #[expect(
+            clippy::expect_used,
+            reason = "suffix >= 0 by the debug_assert above; total load fits u64 by instance validation"
+        )]
         for (out, a) in row.iter_mut().zip(&acc).rev() {
             suffix += a;
-            *out = u64::try_from(suffix).expect("demand fits u64"); // bshm-allow(no-panic): suffix >= 0 by the debug_assert above; total load fits u64 by instance validation
+            *out = u64::try_from(suffix).expect("demand fits u64");
         }
     }
     DemandGrid {

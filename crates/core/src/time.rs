@@ -60,7 +60,10 @@ impl Interval {
     /// `len(I) = I⁺ − I⁻` (always ≥ 1: empty intervals are unrepresentable,
     /// hence no `is_empty`).
     #[must_use]
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "empty intervals are unrepresentable, so there is no is_empty"
+    )]
     pub fn len(&self) -> u64 {
         self.end - self.start
     }

@@ -124,9 +124,12 @@ fn peak_overload(jobs: &[Job], capacity: u64) -> Option<(TimePoint, u64)> {
 
 /// Convenience: validate and panic with the violation message on failure.
 /// Intended for tests and examples.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking assertion helper for tests and examples"
+)]
 pub fn assert_feasible(schedule: &Schedule, instance: &Instance) {
     if let Err(e) = validate_schedule(schedule, instance) {
-        // bshm-allow(no-panic): documented panicking assertion helper for tests and examples
         panic!("infeasible schedule: {e}");
     }
 }

@@ -5,7 +5,7 @@
 //! instance: the interrupted run's torn trace is salvaged back to its
 //! valid prefix, the checkpoint restores into a run whose final schedule,
 //! cost ledgers and trace suffix are identical to an uninterrupted run's.
-//! Everything uses the [`Deterministic`](bshm_obs::Deterministic) probe
+//! Everything uses the [`Deterministic`] probe
 //! adapter, so "identical" means byte-identical on serialized events.
 
 use crate::plan::FaultPlan;

@@ -28,8 +28,34 @@
 //! Offline algorithms run under faults too: [`bshm_sim::ScriptScheduler`]
 //! replays a finished schedule through the online driver.
 
+// Shipping code stays panic-free, cast-clean, print-free and
+// deterministic; test code is exempt. See DESIGN.md § Static analysis and
+// the method/macro lists in clippy.toml.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_lossless,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::float_cmp,
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        static_mut_refs,
+        unsafe_code
+    )
+)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod backoff;
 pub mod checkpoint;

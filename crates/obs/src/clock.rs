@@ -1,7 +1,7 @@
 //! The workspace's single wall-clock source.
 //!
-//! Every `Instant::now()` outside this module is a `wall-clock` lint
-//! error (see `bshm-analyze`): routing timing through one chokepoint
+//! Every other `Instant::now()` in non-test code is a
+//! `clippy::disallowed_methods` error (see clippy.toml): routing timing through one chokepoint
 //! keeps perf numbers attributable to a single clock and leaves a seam
 //! for a mocked or virtual clock later. Probed runs time each placement
 //! decision (`Placement.decision_ns`) and each fault recovery with it.
@@ -10,6 +10,10 @@ use std::time::Instant;
 
 /// Reads the clock.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one wall-clock read"
+)]
 pub fn now() -> Instant {
     Instant::now()
 }

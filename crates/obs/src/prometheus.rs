@@ -24,9 +24,17 @@ fn escape_label(s: &str) -> String {
 
 /// Formats a float the way Prometheus expects (integral values without a
 /// trailing `.0` are fine; non-finite values are not produced here).
+#[expect(
+    clippy::float_cmp,
+    reason = "exact integrality test: x.trunc() equals x only when x is integral"
+)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "guarded — x is integral with |x| < 1e15, well inside i64"
+)]
 fn fmt_value(x: f64) -> String {
     if x == x.trunc() && x.abs() < 1e15 {
-        format!("{}", x as i64) // bshm-allow(lossy-cast): guarded — x is integral with |x| < 1e15, well inside i64
+        format!("{}", x as i64)
     } else {
         format!("{x}")
     }

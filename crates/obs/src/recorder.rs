@@ -335,12 +335,17 @@ impl Metrics {
                 } else {
                     load as f64 / capacity as f64
                 };
-                let bucket = ((fill * UTILIZATION_BUCKETS as f64) as usize) // bshm-allow(lossy-cast): float-to-usize saturates; min() bounds the bucket
-                    .min(UTILIZATION_BUCKETS - 1);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "float-to-usize saturates; min() bounds the bucket"
+                )]
+                let bucket =
+                    ((fill * UTILIZATION_BUCKETS as f64) as usize).min(UTILIZATION_BUCKETS - 1);
                 self.utilization_hist[bucket] += 1;
                 self.utilization_sum += fill;
                 if decision_ns > 0 {
-                    let b = (decision_ns.ilog2() as usize).min(DECISION_NS_BUCKETS - 1); // bshm-allow(lossy-cast): ilog2 of a u64 is at most 63
+                    let b = (decision_ns.ilog2() as usize).min(DECISION_NS_BUCKETS - 1);
                     self.decision_ns_hist[b] += 1;
                     self.decision_ns_sum = self.decision_ns_sum.saturating_add(decision_ns);
                 }
@@ -391,7 +396,7 @@ impl Metrics {
                 let b = if work == 0 {
                     0
                 } else {
-                    (work.ilog2() as usize).min(OPS_BUCKETS - 1) // bshm-allow(lossy-cast): ilog2 of a u64 is at most 63
+                    (work.ilog2() as usize).min(OPS_BUCKETS - 1)
                 };
                 self.ops_hist[b] += 1;
                 self.ops_sum = self.ops_sum.saturating_add(work);

@@ -16,8 +16,13 @@
 //!   (checkpoints, reports): temp file + rename, never a torn file.
 //!
 //! All direct `File::create`/`fs::write` calls for trace-shaped output in
-//! the obs and sim crates are required (by the `no-raw-trace-write` lint in
-//! `bshm-analyze`) to route through this module.
+//! the obs and sim crates are required (by `clippy::disallowed_methods`,
+//! listed in their clippy.toml) to route through this module.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned raw writer in obs and sim"
+)]
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -61,8 +66,6 @@ impl TraceWriter {
     pub fn create(path: impl Into<PathBuf>) -> Result<TraceWriter, String> {
         let final_path = path.into();
         let partial = partial_path(&final_path);
-        // No suppression needed: this module IS the sanctioned writer the
-        // no-raw-trace-write lint points everyone else at.
         let file = File::create(&partial).map_err(|e| format!("{}: {e}", partial.display()))?;
         Ok(TraceWriter {
             final_path,

@@ -84,8 +84,11 @@ pub struct SloSpec {
 }
 
 impl Default for SloSpec {
+    #[expect(
+        clippy::expect_used,
+        reason = "DEFAULT_SLO_SPEC is a constant whose parse is covered by tests"
+    )]
     fn default() -> Self {
-        // bshm-allow(no-panic): DEFAULT_SLO_SPEC is a constant whose parse is covered by tests
         SloSpec::parse(DEFAULT_SLO_SPEC).expect("DEFAULT_SLO_SPEC parses")
     }
 }
@@ -246,7 +249,12 @@ impl SloEngine {
         // p99 in milli-ns, fixed-point. The f64 quantile estimate is a
         // pure function of the (integer) histogram, so the cast is stable
         // for identical windows.
-        let p99_milli = w.decision_ns_quantile(0.99).map(|q| (q * 1000.0) as u64); // bshm-allow(lossy-cast): fixed-point milli conversion of a bounded quantile
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "fixed-point milli conversion of a bounded quantile"
+        )]
+        let p99_milli = w.decision_ns_quantile(0.99).map(|q| (q * 1000.0) as u64);
         if self.latency_baseline_milli.is_none() && w.metrics.placements > 0 {
             self.latency_baseline_milli = p99_milli;
         }

@@ -6,7 +6,7 @@
 //! one supervised process.
 //!
 //! * [`queue`] — bounded admission queues; a full queue answers with a
-//!   typed [`Overload`](queue::Overload) carrying a deterministic, seeded
+//!   typed [`Overload`] carrying a deterministic, seeded
 //!   retry-after from the fault layer's
 //!   [`BackoffSchedule`](bshm_faults::BackoffSchedule).
 //! * [`tenant`] — per-tenant supervision: each tenant advances in
@@ -18,7 +18,7 @@
 //!   gauges → force the cheapest placement algorithm → shed
 //!   lowest-priority tenants), each transition stamped as a
 //!   `Degradation` trace event.
-//! * [`service`] — the [`Service`](service::Service) itself: protocol
+//! * [`service`] — the [`Service`] itself: protocol
 //!   dispatch, the supervisor loop, graceful drain/shutdown.
 //! * [`transport`] — in-process and `std` Unix-socket transports plus
 //!   the retrying client harness.
@@ -28,8 +28,10 @@
 //! transitions and restore digests depend only on seeds and event
 //! counts, never on wall time.
 
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod drill;
 pub mod ladder;

@@ -1,7 +1,7 @@
 //! Bounded admission queues with typed backpressure.
 //!
-//! Every queue in the service states its capacity up front (the
-//! `no-unbounded-channel` analyzer rule enforces this crate-wide) and
+//! Every queue in the service states its capacity up front (this crate's
+//! clippy.toml bans `VecDeque::new` and `mpsc::channel`) and
 //! rejects overflow with a typed [`Overload`] instead of growing. The
 //! retry-after carried by each rejection comes from the fault layer's
 //! seeded [`BackoffSchedule`], so a client hammering a full queue sees a

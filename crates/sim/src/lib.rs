@@ -1,8 +1,8 @@
 //! # bshm-sim
 //!
 //! The non-clairvoyant online simulation substrate for busy-time
-//! scheduling (§III-B setting): a machine [`pool`](crate::pool) that
-//! enforces capacities, and an event [`driver`](crate::driver) that replays
+//! scheduling (§III-B setting): a machine [`pool`] that
+//! enforces capacities, and an event [`driver`] that replays
 //! an instance as arrivals (departure times hidden from the scheduler) and
 //! departures.
 //!
@@ -11,8 +11,34 @@
 //! [`ScriptScheduler`] replays a finished offline schedule as an online
 //! policy, so offline algorithms run wherever an online one does.
 
+// Shipping code stays panic-free, cast-clean, print-free and
+// deterministic; test code is exempt. See DESIGN.md § Static analysis and
+// the method/macro lists in clippy.toml.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_lossless,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::float_cmp,
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        static_mut_refs,
+        unsafe_code
+    )
+)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod clairvoyant;
 pub mod driver;

@@ -204,16 +204,24 @@ impl MachinePool {
     /// Removes a departing job; panics if the job is not active (driver
     /// bug, not scheduler bug).
     pub fn remove(&mut self, job: JobId, size: u64) -> MachineId {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract — a departure for an inactive job is a driver bug"
+        )]
         let m = self
             .job_location
             .remove(&job)
-            .expect("departing job is active"); // bshm-allow(no-panic): documented contract — a departure for an inactive job is a driver bug
+            .expect("departing job is active");
         let pm = &mut self.machines[m.0 as usize];
+        #[expect(
+            clippy::expect_used,
+            reason = "job_location and the machine's active list are updated together"
+        )]
         let pos = pm
             .active
             .iter()
             .position(|&j| j == job)
-            .expect("job listed on its machine"); // bshm-allow(no-panic): job_location and the machine's active list are updated together
+            .expect("job listed on its machine");
         pm.active.swap_remove(pos);
         pm.load -= size;
         m

@@ -10,8 +10,10 @@
 //! [`generator::cloud_trace_spec`] is the synthetic equivalent exercising
 //! the same code paths — bursty arrivals, skewed sizes, wide μ.
 
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod adversarial;
 pub mod arrivals;

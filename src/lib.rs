@@ -58,6 +58,9 @@
 //! assert!(validate_schedule(&online, &instance).is_ok());
 //! ```
 
+// Non-test code compares floats through explicit tolerances and reads
+// the clock only through `bshm_obs::clock` (lists in clippy.toml).
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub use bshm_algos as algos;
