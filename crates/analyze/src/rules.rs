@@ -391,4 +391,390 @@ mod tests {
             .iter()
             .any(|d| d.message.contains("bshm-allow(no-unbounded-buffer)")));
     }
+
+    // The retired generic rules are clippy lints now. Each test below pins
+    // one rule's clippy twin to the scope the rule had: where it is on,
+    // where it is off, and that every sanctioned exception is a reasoned
+    // `expect`. CI's clippy step does the flagging itself.
+
+    use crate::walk;
+    use std::collections::BTreeSet;
+    use std::path::PathBuf;
+
+    const LIBRARIES: [&str; 5] = ["core", "algos", "sim", "obs", "faults"];
+    const PANICS: [&str; 6] = [
+        "clippy::unwrap_used",
+        "clippy::expect_used",
+        "clippy::panic",
+        "clippy::unreachable",
+        "clippy::todo",
+        "clippy::unimplemented",
+    ];
+    const CASTS: [&str; 4] = [
+        "clippy::cast_possible_truncation",
+        "clippy::cast_sign_loss",
+        "clippy::cast_possible_wrap",
+        "clippy::cast_lossless",
+    ];
+    const CLOCKS: [&str; 2] = ["std::time::Instant::now", "std::time::SystemTime::now"];
+    const TRACE_WRITES: [&str; 2] = ["std::fs::File::create", "std::fs::write"];
+
+    fn root() -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// The file at workspace path `rel`, or "" when there is none.
+    fn read(rel: &str) -> String {
+        std::fs::read_to_string(root().join(rel)).unwrap_or_default()
+    }
+
+    /// The attributes in `src` as `(inner, body)`, whitespace removed:
+    /// `#![deny(a, b)]` is `(true, "deny(a,b)")`.
+    fn attributes(src: &str) -> Vec<(bool, String)> {
+        let mut out = Vec::new();
+        let mut rest = src;
+        while let Some(hash) = rest.find('#') {
+            rest = &rest[hash + 1..];
+            let inner = rest.starts_with("![");
+            let Some(body) = rest.strip_prefix(if inner { "![" } else { "[" }) else {
+                continue;
+            };
+            let mut depth = 1;
+            let Some(end) = body.find(|c| {
+                depth += match c {
+                    '[' => 1,
+                    ']' => -1,
+                    _ => 0,
+                };
+                depth == 0
+            }) else {
+                break;
+            };
+            out.push((inner, body[..end].split_whitespace().collect()));
+            rest = &body[end..];
+        }
+        out
+    }
+
+    /// The crate root that compiles workspace path `rel`.
+    fn crate_root(rel: &str) -> String {
+        match format!("/{rel}").split_once("/src/") {
+            Some((_, file)) if file == "main.rs" || file.starts_with("bin/") => rel.to_string(),
+            Some((dir, _)) => format!("{dir}/src/lib.rs")
+                .trim_start_matches('/')
+                .to_string(),
+            None => rel.to_string(),
+        }
+    }
+
+    /// The clippy.toml clippy reads for `rel`: its crate's own, else the
+    /// workspace's.
+    fn clippy_toml(rel: &str) -> String {
+        let own = match rel.split('/').collect::<Vec<_>>()[..] {
+            ["crates", name, ..] => read(&format!("crates/{name}/clippy.toml")),
+            _ => String::new(),
+        };
+        if own.is_empty() {
+            read("clippy.toml")
+        } else {
+            own
+        }
+    }
+
+    /// Everything clippy rejects in workspace path `rel` (which need not
+    /// exist): the lints its crate root and the file itself deny, plus
+    /// the method and macro paths of its clippy.toml where
+    /// `disallowed_methods` or `disallowed_macros` is denied. `test` asks
+    /// the same of the file's `#[cfg(test)]` code.
+    fn banned(rel: &str, test: bool) -> BTreeSet<String> {
+        let mut src = read(&crate_root(rel));
+        if crate_root(rel) != rel {
+            src += &read(rel);
+        }
+        let mut out = BTreeSet::new();
+        for (_, body) in attributes(&src).into_iter().filter(|(inner, _)| *inner) {
+            let body = match body.strip_prefix("cfg_attr(not(test),") {
+                Some(_) if test => continue,
+                Some(gated) => gated.to_string(),
+                None => body,
+            };
+            if let Some(lints) = body.strip_prefix("deny(") {
+                let lints = lints.trim_end_matches(')').split(',');
+                out.extend(lints.filter(|l| !l.is_empty()).map(String::from));
+            }
+        }
+        let mut section = "";
+        for line in clippy_toml(rel).lines() {
+            if let Some((key, _)) = line.split_once(" = [") {
+                section = if key == "disallowed-methods" {
+                    "clippy::disallowed_methods"
+                } else {
+                    "clippy::disallowed_macros"
+                };
+            }
+            let path = line
+                .split_once("path = \"")
+                .and_then(|(_, p)| p.split_once('"'));
+            if let Some((path, _)) = path.filter(|_| out.contains(section)) {
+                out.insert(path.to_string());
+            }
+        }
+        out
+    }
+
+    /// Asserts that each of `items` is rejected (`on`) or allowed (`!on`)
+    /// in `rel`'s non-test code, or its test code when `test`.
+    fn assert_banned(rel: &str, test: bool, items: &[&str], on: bool) {
+        let banned = banned(rel, test);
+        for item in items {
+            assert_eq!(
+                banned.contains(*item),
+                on,
+                "{rel} (test code: {test}): {item}"
+            );
+        }
+    }
+
+    /// A file in each library crate.
+    fn library_files() -> Vec<String> {
+        LIBRARIES
+            .iter()
+            .map(|c| format!("crates/{c}/src/x.rs"))
+            .collect()
+    }
+
+    /// Every crate root of the workspace.
+    fn crate_roots() -> Vec<String> {
+        let roots: Vec<String> = walk::rust_files(&root())
+            .iter()
+            .map(|p| walk::rel(&root(), p))
+            .filter(|r| crate_root(r) == *r && r.contains("src/"))
+            .collect();
+        assert!(
+            roots.len() >= 16,
+            "only {} crate roots: {roots:?}",
+            roots.len()
+        );
+        roots
+    }
+
+    /// The files that expect any of `lints` to fire, after checking that
+    /// every such expectation gives a reason. The analyzer's own sources
+    /// are skipped: their fixtures spell attributes inside strings.
+    fn expecting(lints: &[&str]) -> BTreeSet<String> {
+        let mut files = BTreeSet::new();
+        for path in walk::rust_files(&root()) {
+            let rel = walk::rel(&root(), &path);
+            if rel.starts_with("crates/analyze/") {
+                continue;
+            }
+            for (_, body) in attributes(&read(&rel)) {
+                let Some(args) = body.strip_prefix("expect(") else {
+                    continue;
+                };
+                if args
+                    .split(',')
+                    .any(|a| lints.contains(&a.trim_end_matches(')')))
+                {
+                    assert!(args.contains("reason=\""), "{rel}: #[{body}] has no reason");
+                    files.insert(rel.clone());
+                }
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn no_panic_positive() {
+        for rel in library_files() {
+            assert_banned(&rel, false, &PANICS, true);
+        }
+    }
+
+    #[test]
+    fn no_panic_negative() {
+        // The panics that stay are reasoned expectations, and only in the
+        // library crates, where the lints are on (elsewhere an
+        // expectation would go unfulfilled).
+        let files = expecting(&PANICS);
+        assert!(files.len() >= 9, "{files:?}");
+        for rel in &files {
+            assert!(
+                LIBRARIES
+                    .iter()
+                    .any(|c| rel.starts_with(&format!("crates/{c}/src/"))),
+                "{rel}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_panic_skips_tests_and_non_library() {
+        for rel in library_files() {
+            assert_banned(&rel, true, &PANICS, false);
+        }
+        for rel in [
+            "crates/cli/src/x.rs",
+            "crates/cli/src/main.rs",
+            "crates/bench/src/x.rs",
+            "crates/serve/src/x.rs",
+            "crates/core/tests/t.rs",
+        ] {
+            assert_banned(rel, false, &PANICS, false);
+        }
+    }
+
+    #[test]
+    fn float_eq_positive() {
+        for rel in crate_roots() {
+            assert_banned(&rel, false, &["clippy::float_cmp"], true);
+        }
+        assert_banned("crates/bench/src/x.rs", false, &["clippy::float_cmp"], true);
+    }
+
+    #[test]
+    fn float_eq_negative() {
+        for rel in crate_roots() {
+            assert_banned(&rel, true, &["clippy::float_cmp"], false);
+        }
+        assert_eq!(
+            expecting(&["clippy::float_cmp"]),
+            BTreeSet::from(["crates/obs/src/prometheus.rs".to_string()])
+        );
+    }
+
+    #[test]
+    fn lossy_cast_positive() {
+        for rel in library_files() {
+            assert_banned(&rel, false, &CASTS, true);
+        }
+    }
+
+    #[test]
+    fn lossy_cast_negative() {
+        for rel in library_files() {
+            assert_banned(&rel, true, &CASTS, false);
+        }
+        // Outside the library crates the rule is off.
+        for rel in ["crates/bench/src/x.rs", "crates/cli/src/x.rs", "src/x.rs"] {
+            assert_banned(rel, false, &CASTS, false);
+        }
+        for rel in expecting(&CASTS) {
+            assert!(
+                LIBRARIES
+                    .iter()
+                    .any(|c| rel.starts_with(&format!("crates/{c}/src/"))),
+                "{rel}"
+            );
+        }
+    }
+
+    #[test]
+    fn wall_clock_positive_and_span_exempt() {
+        for rel in crate_roots() {
+            assert_banned(&rel, false, &CLOCKS, true);
+            assert_banned(&rel, true, &CLOCKS, false);
+        }
+        // The clock module is the one sanctioned read; a span or any
+        // other obs file is not exempt.
+        assert_banned("crates/obs/src/span.rs", false, &CLOCKS, true);
+        assert!(read("crates/obs/src/clock.rs").contains("Instant::now()"));
+        assert_eq!(
+            expecting(&["clippy::disallowed_methods"]),
+            BTreeSet::from([
+                "crates/obs/src/clock.rs".to_string(),
+                "crates/obs/src/sink.rs".to_string(),
+            ])
+        );
+    }
+
+    #[test]
+    fn no_print_rule() {
+        let prints = [
+            "clippy::print_stdout",
+            "clippy::print_stderr",
+            "clippy::dbg_macro",
+        ];
+        for rel in library_files() {
+            assert_banned(&rel, false, &prints, true);
+            assert_banned(&rel, true, &prints, false);
+        }
+        // CLI crates may print.
+        for rel in ["crates/cli/src/x.rs", "crates/cli/src/main.rs"] {
+            assert_banned(rel, false, &prints, false);
+        }
+    }
+
+    #[test]
+    fn no_raw_trace_write_rule() {
+        for rel in ["crates/obs/src/recorder.rs", "crates/sim/src/driver.rs"] {
+            assert_banned(rel, false, &TRACE_WRITES, true);
+            assert_banned(rel, true, &TRACE_WRITES, false);
+            // Reading is fine; only the raw write constructors are banned.
+            assert_banned(rel, false, &["std::fs::read_to_string"], false);
+        }
+        // Other crates (cli writes schedules, bench writes reports) are
+        // out of scope.
+        for rel in [
+            "crates/cli/src/commands.rs",
+            "crates/faults/src/runner.rs",
+            "crates/bench/src/x.rs",
+        ] {
+            assert_banned(rel, false, &TRACE_WRITES, false);
+        }
+        // The sink module is the sanctioned writer.
+        assert!(expecting(&["clippy::disallowed_methods"]).contains("crates/obs/src/sink.rs"));
+    }
+
+    #[test]
+    fn no_unbounded_channel_rule() {
+        let unbounded = [
+            "std::collections::VecDeque::new",
+            "std::sync::mpsc::channel",
+        ];
+        let bounded = [
+            "std::collections::VecDeque::with_capacity",
+            "std::sync::mpsc::sync_channel",
+        ];
+        for rel in ["crates/serve/src/queue.rs", "crates/serve/src/transport.rs"] {
+            assert_banned(rel, false, &unbounded, true);
+            assert_banned(rel, false, &bounded, false);
+            assert_banned(rel, true, &unbounded, false);
+        }
+        // Other crates (sim's event queues, cli) are out of scope.
+        for rel in ["crates/sim/src/driver.rs", "crates/cli/src/commands.rs"] {
+            assert_banned(rel, false, &unbounded, false);
+        }
+    }
+
+    #[test]
+    fn unordered_iter_rule() {
+        let lint = ["clippy::iter_over_hash_type"];
+        for rel in library_files() {
+            assert_banned(&rel, false, &lint, true);
+            assert_banned(&rel, true, &lint, false);
+        }
+        assert_banned("crates/cli/src/commands.rs", false, &lint, false);
+    }
+
+    #[test]
+    fn shared_mutable_static_rule() {
+        let statics = ["std::thread_local", "static_mut_refs", "unsafe_code"];
+        for rel in library_files() {
+            assert_banned(&rel, false, &statics, true);
+            assert_banned(&rel, true, &statics, false);
+        }
+        assert_banned("crates/cli/src/x.rs", false, &statics, false);
+    }
+
+    #[test]
+    fn must_use_accessor_rule() {
+        let lint = ["clippy::must_use_candidate"];
+        for rel in ["crates/core/src/schedule.rs", "crates/core/src/cost.rs"] {
+            assert_banned(rel, false, &lint, true);
+        }
+        for rel in ["crates/core/src/x.rs", "crates/algos/src/x.rs"] {
+            assert_banned(rel, false, &lint, false);
+        }
+    }
 }

@@ -10,12 +10,12 @@
 //!    a dispatched-but-undocumented subcommand, a bumped schema version,
 //!    a rule missing from the committed `ANALYZE_RULES.json` manifest.
 //!
-//! 4. The generic rules (no panics, casts, prints, clock reads, float
-//!    equality, hash-ordered iteration, mutable statics, raw file writes,
-//!    unbounded channels) stay configured as clippy lints. CI's clippy
-//!    step enforces them; this suite only pins their configuration.
+//! The generic rules (no panics, casts, prints, clock reads, float
+//! equality, hash-ordered iteration, mutable statics, raw file writes,
+//! unbounded channels) are clippy lints, enforced by CI's clippy step;
+//! `rules.rs`'s unit tests pin each one's configuration.
 
-use bshm_analyze::{analyze_source, analyze_workspace, walk, DriftInputs};
+use bshm_analyze::{analyze_source, analyze_workspace, DriftInputs};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -186,119 +186,4 @@ fn drift_auditor_fails_on_schema_version_bump() {
         diags.iter().any(|d| d.rule == "drift/bench-schema"),
         "schema bump not caught: {diags:?}"
     );
-}
-
-#[test]
-fn clippy_keeps_the_generic_rules_configured() {
-    let root = workspace_root();
-    let read = |rel: &str| {
-        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("reading {rel}: {e}"))
-    };
-    // Every crate root: float equality and the clippy.toml methods.
-    let all_crates = "#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]";
-    let library_lints = [
-        "clippy::unwrap_used",
-        "clippy::expect_used",
-        "clippy::panic",
-        "clippy::unreachable",
-        "clippy::todo",
-        "clippy::unimplemented",
-        "clippy::cast_possible_truncation",
-        "clippy::cast_sign_loss",
-        "clippy::cast_possible_wrap",
-        "clippy::cast_lossless",
-        "clippy::print_stdout",
-        "clippy::print_stderr",
-        "clippy::dbg_macro",
-        "clippy::float_cmp",
-        "clippy::iter_over_hash_type",
-        "clippy::disallowed_methods",
-        "clippy::disallowed_macros",
-        "static_mut_refs",
-        "unsafe_code",
-    ];
-    let roots: Vec<String> = walk::rust_files(&root)
-        .iter()
-        .map(|p| walk::rel(&root, p))
-        .filter(|r| {
-            r.ends_with("src/lib.rs") || r.ends_with("src/main.rs") || r.contains("/src/bin/")
-        })
-        .collect();
-    assert!(
-        roots.len() >= 16,
-        "only {} crate roots: {roots:?}",
-        roots.len()
-    );
-    for rel in &roots {
-        let src = read(rel);
-        let library = ["core", "algos", "sim", "obs", "faults"]
-            .iter()
-            .any(|c| *rel == format!("crates/{c}/src/lib.rs"));
-        if library {
-            let attr = src
-                .split("#![cfg_attr(\n    not(test),\n    deny(")
-                .nth(1)
-                .and_then(|rest| rest.split(")\n)]").next())
-                .unwrap_or_else(|| panic!("{rel}: no library lint attribute"));
-            for lint in library_lints {
-                assert!(
-                    attr.contains(&format!("{lint},")) || attr.contains(&format!("{lint}\n")),
-                    "{rel}: {lint} not denied"
-                );
-            }
-        } else {
-            assert!(src.contains(all_crates), "{rel}: missing `{all_crates}`");
-        }
-    }
-    for rel in ["crates/core/src/schedule.rs", "crates/core/src/cost.rs"] {
-        assert!(
-            read(rel).contains("#![deny(clippy::must_use_candidate)]"),
-            "{rel}"
-        );
-    }
-    let manifest = read("Cargo.toml");
-    for lint in ["allow_attributes", "allow_attributes_without_reason"] {
-        assert!(
-            manifest.contains(&format!("{lint} = \"deny\"")),
-            "Cargo.toml: {lint}"
-        );
-    }
-    let lists: [(&str, &[&str]); 4] = [
-        ("clippy.toml", &["std::thread_local"]),
-        (
-            "crates/obs/clippy.toml",
-            &[
-                "std::fs::File::create",
-                "std::fs::write",
-                "std::thread_local",
-            ],
-        ),
-        (
-            "crates/sim/clippy.toml",
-            &[
-                "std::fs::File::create",
-                "std::fs::write",
-                "std::thread_local",
-            ],
-        ),
-        (
-            "crates/serve/clippy.toml",
-            &[
-                "std::collections::VecDeque::new",
-                "std::sync::mpsc::channel",
-            ],
-        ),
-    ];
-    for (rel, paths) in lists {
-        let toml = read(rel);
-        for path in ["std::time::Instant::now", "std::time::SystemTime::now"]
-            .iter()
-            .chain(paths)
-        {
-            assert!(
-                toml.contains(&format!("path = \"{path}\"")),
-                "{rel}: {path} not listed"
-            );
-        }
-    }
 }
